@@ -26,6 +26,9 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
   let traced = !trace = 1 in
+  (* Before any workload pins a thread; run.py may have pinned the whole
+     process already, and reports that itself. *)
+  let nproc = Domain.recommended_domain_count () in
   let outcome, valid =
     match !workload with
     | ("cut-master" | "cut-separation") as w ->
@@ -51,7 +54,7 @@ let () =
   in
   let machine =
     [
-      ("nproc", string_of_int (Domain.recommended_domain_count ()));
+      ("nproc", string_of_int nproc);
       ("ocaml", Sys.ocaml_version);
     ]
   in

@@ -42,19 +42,104 @@ let vm_hwm_kb () =
       in
       Fun.protect ~finally:(fun () -> close_in ic) go
 
-(* Run [f] [reps] times and return the last result with the median wall:
-   set-up is repeated so that its reported time is a median, not one
-   sample. *)
-let timed_median ~reps f =
-  let walls = Array.make reps 0.0 in
-  let last = ref None in
-  for i = 0 to reps - 1 do
+(* Host-speed probe. The host this benchmark was written on, a 2-vCPU
+   virtual machine shared with other tenants, runs the same code up to a
+   third slower from one minute to the next, mostly through the caches.
+   Over twelve rounds of probing and solving (coefficients of variation):
+   a pure arithmetic loop moved by 0.02, loops over 32 KB and over 2.5 MB
+   by 0.17 and 0.07, and cut-master solves by 0.12, in step with the
+   memory loops (correlation 0.9). So every timed operation is bracketed
+   by this probe, which runs those two memory kernels and uses nothing
+   from the repo. [ref_s wall probe] converts a wall time to reference
+   seconds: the time the same work takes when the probe takes
+   [probe_ref_s], about its median on that host. A change to the program
+   moves the wall and not the probe; a change of the host's load moves
+   both. *)
+let probe_ref_s = 0.008
+
+let probe_floats = 1 lsl 18
+let probe_steps = 1 lsl 16
+
+let probe_data =
+  lazy
+    (let fa = Array.init probe_floats (fun i -> float_of_int (i land 1023) *. 1e-3) in
+     (* A random cyclic permutation: the walk visits every step once. *)
+     let order = Array.init probe_steps Fun.id in
+     let st = Random.State.make [| 7 |] in
+     for i = probe_steps - 1 downto 1 do
+       let j = Random.State.int st i in
+       let t = order.(i) in
+       order.(i) <- order.(j);
+       order.(j) <- t
+     done;
+     let next = Array.make probe_steps 0 in
+     Array.iteri (fun i k -> next.(k) <- order.((i + 1) mod probe_steps)) order;
+     (fa, next, Array.make 4096 1.0))
+
+let probe_kernels rounds =
+  let fa, next, small = Lazy.force probe_data in
+  let acc = ref 0.0 and j = ref 0 in
+  for _ = 1 to rounds do
+    for _ = 1 to probe_steps do
+      let k = next.(!j) in
+      j := k;
+      let idx = (k * 4) land (probe_floats - 1) in
+      let v = fa.(idx) in
+      acc := (!acc *. 0.999999) +. v;
+      fa.(idx) <- v +. 1e-12
+    done;
+    for _ = 1 to 50 do
+      for i = 0 to 4095 do
+        let v = small.((i * 17) land 4095) in
+        acc := !acc +. v;
+        small.(i) <- (v *. 0.9999999) +. 1e-9
+      done
+    done
+  done;
+  !acc
+
+(* One probe: a warm-up round, then eight timed rounds. *)
+let probe () =
+  ignore (Sys.opaque_identity (probe_kernels 1));
+  let t0 = now () in
+  ignore (Sys.opaque_identity (probe_kernels 8));
+  now () -. t0
+
+let ref_s wall probe = wall *. probe_ref_s /. probe
+
+external allowed_cpus : unit -> int array = "perfbench_allowed_cpus"
+external pin_thread : int -> bool = "perfbench_pin_thread"
+
+(* Run the calling thread (not the process) on the first or the last CPU
+   the process may use; a domain's thread inherits its creator's CPUs.
+   With a single CPU there is nothing to choose. *)
+let allowed = lazy (allowed_cpus ())
+
+let run_on which =
+  let cpus = Lazy.force allowed in
+  let n = Array.length cpus in
+  if n >= 2 then ignore (pin_thread (match which with `First -> cpus.(0) | `Last -> cpus.(n - 1)))
+
+(* Run [f] [reps] times and return the last result with the median of
+   its times in reference seconds (each rep probed just before it): set-up
+   is repeated so that its reported time is a median, not one sample.
+   Every result but the last goes to [discard], untimed, before the next
+   rep starts. *)
+let timed_median ?(discard = ignore) ~reps f =
+  let times = Array.make reps 0.0 in
+  let rec go i =
+    let p = probe () in
     let t0 = now () in
     let v = f () in
-    walls.(i) <- now () -. t0;
-    last := Some v
-  done;
-  (Option.get !last, median walls)
+    times.(i) <- ref_s (now () -. t0) p;
+    if i = reps - 1 then v
+    else begin
+      discard v;
+      go (i + 1)
+    end
+  in
+  let v = go 0 in
+  (v, median times)
 
 (* What one workload run reports: operation counts plus named metrics
    (name, unit, value) and free-form context lines for the reader. *)

@@ -331,11 +331,11 @@ let row ~cap check entry = function
 
 (* Set-up: generate every instance and its target (then drop them; the
    children rebuild their own) and run one small warm-up solve through
-   the fork path. Timed five times for a median (it is short). *)
+   the fork path. Timed 21 times for a median (it is short). *)
 let setup cfg =
   let warm = entry ~family:"warm-up" ~anti:true ~seed:1 (heavy ~n:24) in
   let (), setup_s =
-    timed_median ~reps:5 (fun () ->
+    timed_median ~reps:21 (fun () ->
         List.iter (fun e -> ignore (Sys.opaque_identity (e.build ()))) cfg.entries;
         match run_capped ~traced:false ~cap:30.0 warm with
         | Done _ -> ()
@@ -349,12 +349,10 @@ let schedule ~seed n =
   Prng.shuffle (Prng.create seed) order;
   order
 
+(* The largest VmHWM of the solving children. The parent solves
+   nothing; its own peak comes from the answer checks. *)
 let peak_mb rows =
-  let kb =
-    List.fold_left
-      (fun a r -> match r.snap with Some (_, h) -> max a h | None -> a)
-      (vm_hwm_kb ()) rows
-  in
+  let kb = List.fold_left (fun a r -> match r.snap with Some (_, h) -> max a h | None -> a) 0 rows in
   fi kb /. 1024.0
 
 let failed rows = List.length (List.filter (fun r -> r.status <> "ok") rows)
@@ -371,17 +369,23 @@ let context cfg ~seed ~order =
   ]
 
 (* Untraced: whole passes over the instance set in the seed's order,
-   another pass only while it fits in [seconds]; checks afterwards. *)
+   another pass only while it fits in [seconds]; checks afterwards. The
+   parent probes the host's speed (see [Common.probe]) before each solve
+   and after the last, on the CPU the children run on; each solve's wall
+   is converted to reference seconds with the mean of the probes on
+   either side of it. *)
 let run_untraced cfg ~seed ~seconds =
   let setup_s = setup cfg in
   let entries = Array.of_list cfg.entries in
   let order = schedule ~seed (Array.length entries) in
-  let solved = ref [] in
+  let solved = ref [] and probes = ref [ probe () ] in
   let t0 = now () in
   let rec pass k =
     let p0 = now () in
     Array.iter
-      (fun i -> solved := (entries.(i), run_capped ~traced:false ~cap:cfg.cap entries.(i)) :: !solved)
+      (fun i ->
+        solved := (entries.(i), run_capped ~traced:false ~cap:cfg.cap entries.(i)) :: !solved;
+        probes := probe () :: !probes)
       order;
     let took = now () -. p0 in
     if now () -. t0 +. took <= seconds then pass (k + 1) else k
@@ -390,6 +394,8 @@ let run_untraced cfg ~seed ~seconds =
   let check, check_s = checker () in
   let rows = List.rev_map (fun (e, s) -> row ~cap:cfg.cap check e s) !solved in
   let walls = Array.of_list (List.map (fun r -> r.wall_s) rows) in
+  let probes = Array.of_list (List.rev !probes) in
+  let ref_walls = Array.mapi (fun i w -> ref_s w ((probes.(i) +. probes.(i + 1)) /. 2.0)) walls in
   let ok = List.length rows - failed rows in
   {
     attempted = List.length rows;
@@ -398,7 +404,7 @@ let run_untraced cfg ~seed ~seconds =
     metrics =
       [
         ("setup_s", "s", setup_s);
-        ("throughput_per_s", "1/s", ratio (fi ok) (sum walls));
+        ("throughput_per_s", "1/s", ratio (fi ok) (sum ref_walls));
         ("ok_share", "ratio", ratio (fi ok) (fi (List.length rows)));
         ("peak_rss_mb", "MB", peak_mb rows);
       ];
@@ -406,6 +412,15 @@ let run_untraced cfg ~seed ~seconds =
       context cfg ~seed ~order
       @ [
           ("samples", Printf.sprintf "%d solves in %d pass(es)" (List.length rows) passes);
+          ( "throughput",
+            Printf.sprintf "%.4f/s in wall seconds, %.4f/s in reference seconds"
+              (ratio (fi ok) (sum walls)) (ratio (fi ok) (sum ref_walls)) );
+          ( "probe",
+            Printf.sprintf "median %.2f ms, range %.2f-%.2f ms (reference %.2f ms)"
+              (1e3 *. median probes)
+              (1e3 *. Array.fold_left Float.min Float.infinity probes)
+              (1e3 *. Array.fold_left Float.max 0.0 probes)
+              (1e3 *. probe_ref_s) );
           ( "latency",
             Printf.sprintf "p50 %.1f ms, p90 %.1f ms per solve" (1e3 *. median walls)
               (1e3 *. quantile walls 0.9) );

@@ -22,7 +22,8 @@ def pin(argv):
     one CPU or another, and CPU 0, which takes most interrupts, runs the
     same solve up to a fifth slower on a shared 2-vCPU virtual machine,
     so run-to-run figures split in two.
-    serve-mix keeps every CPU: it has two busy threads."""
+    serve-mix keeps every CPU: it has two busy threads and pins each
+    to a CPU of its own."""
     workload = argv[argv.index("--workload") + 1] if "--workload" in argv[:-1] else ""
     if workload.startswith("cut-") and hasattr(os, "sched_setaffinity"):
         allowed = sorted(os.sched_getaffinity(0))

@@ -1,17 +1,25 @@
-(* The [serve-mix] workload: open-loop Poisson arrivals from one
-   generator thread into an in-process [Service.create ~shards:1
-   ~workers:1]. Every request goes through the binary wire
-   ([Binary.encode_request] then [decode_request]) before [submit], and
-   every response through [response_to_string].
+(* The [serve-mix] workload: one generator thread sends into an
+   in-process [Service.create ~shards:1 ~workers:1]. Every request goes
+   through the binary wire ([Binary.encode_request] then
+   [decode_request]) before [submit], and every response through
+   [response_to_string].
 
    About 70% of arrivals are stateless (LP (3) sparse and dense, LP (1)
    cut sparse, Enforce, Check on n=48 instances, SND with an affordable
    budget on n=10), half from a small hot pool and half unique; about 30%
    are session traffic ([mutate] or [resolve]) over a fixed population of
-   n=64 sessions opened during set-up. Two rungs at absolute rates:
-   [nominal], below the service's saturation, and [overload], above it.
-   No deadlines; the queue limit is high enough that nothing is shed, so
-   the overload rung measures the rate the service sustains.
+   n=64 sessions opened during set-up. Two rungs: [nominal], open loop
+   at an absolute rate below the service's saturation, and [saturation],
+   a closed loop that keeps a few requests in flight, so the service is
+   never idle and its queue stays short. The saturation rung measures the
+   rate the service sustains. (An open-loop rung above saturation does
+   not: there the generator's own per-request work and allocation grow
+   with the offered rate and slow the service down with them, so the
+   figure follows the offered rate and the host's noise.) No deadlines;
+   nothing is shed. The saturation rung's goodput is in reference seconds
+   (see [Common.probe]): the service's domain runs on one CPU, the
+   generator on another, and the generator probes the service's CPU
+   between segments.
 
    Every answer is checked after the run against references computed
    outside any timed window: LP (3) optima from the dense kernel,
@@ -31,7 +39,10 @@ module Prng = Repro_util.Prng
 
 type config = {
   nominal_rps : float;
-  overload_rps : float;
+  saturation_rps : float;
+      (** sizes the saturation rung: it sends this many requests per
+          second of its share of [--seconds], however long they take *)
+  segments : int;  (** the saturation rung's segments, probed between *)
   nominal_share : float;  (** share of [--seconds] spent on the nominal rung *)
   n : int;  (** stateless instance size *)
   n_snd : int;
@@ -44,8 +55,9 @@ type config = {
 let default =
   {
     nominal_rps = 500.0;
-    overload_rps = 1700.0;
-    nominal_share = 0.85;
+    saturation_rps = 1200.0;
+    segments = 30;
+    nominal_share = 0.5;
     n = 48;
     n_snd = 10;
     n_session = 64;
@@ -57,7 +69,8 @@ let default =
 let tiny =
   {
     nominal_rps = 40.0;
-    overload_rps = 120.0;
+    saturation_rps = 120.0;
+    segments = 2;
     nominal_share = 0.5;
     n = 12;
     n_snd = 7;
@@ -114,9 +127,9 @@ type inputs = {
   warm_up : op list;  (** one op per stateless kind, on the hot pools *)
   session_payloads : string array;
   nominal : op array;
-  overload : op array;
+  saturation : op array;
   nominal_s : float;
-  overload_s : float;
+  saturation_s : float;
 }
 
 let instance ~n ~seed = Instances.random ~dist:(Instances.Integer 10) ~n ~extra:n ~seed ()
@@ -193,17 +206,19 @@ let make_inputs cfg ~seed ~seconds =
     go 0.0 []
   in
   let nominal_s = seconds *. cfg.nominal_share in
-  let overload_s = seconds -. nominal_s in
+  let saturation_s = seconds -. nominal_s in
   let nominal = schedule cfg.nominal_rps nominal_s in
-  let overload = schedule cfg.overload_rps overload_s in
+  let saturation =
+    Array.init (truncate (Float.round (cfg.saturation_rps *. saturation_s))) (fun _ -> draw 0.0)
+  in
   {
     payloads = Array.of_list (List.rev !payloads);
     warm_up;
     session_payloads;
     nominal;
-    overload;
+    saturation;
     nominal_s;
-    overload_s;
+    saturation_s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -241,7 +256,12 @@ let await_ok svc req =
    and run every stateless kind once on the hot pools. The queue limit is
    far above any backlog a run builds, so nothing is shed. *)
 let start inputs =
+  (* The service's one domain inherits the last CPU and keeps it; the
+     generator thread goes back to the first. The probes between the
+     saturation rung's segments then run where the service runs. *)
+  run_on `Last;
   let svc = Service.create ~shards:1 ~workers:1 ~queue_limit:1_000_000 () in
+  run_on `First;
   let handles =
     Array.mapi
       (fun i payload ->
@@ -357,6 +377,86 @@ let run_open env inputs ~first ops =
   Queue.iter (fun p -> collect p (Service.await env.svc p.ticket)) pending;
   (Array.map Option.get records, !finish -. t0)
 
+(* Requests the saturation rung keeps outstanding: enough that the
+   worker always finds the next one queued, few enough that the queue
+   stays short. *)
+let outstanding = 4
+
+(* Closed loop with [outstanding] requests in flight: the next request is
+   sent as soon as the oldest one completes, so the worker never waits
+   for work and the queue stays [outstanding] deep. The ops run in
+   [segments] equal runs; between two, the loop drains and the generator
+   thread probes the host's speed (see [Common.probe]) while the service
+   is idle. Returns the records and, per segment, its wall (first send
+   to last completion) and the mean of the probes on either side. *)
+let run_closed env inputs ~first ~segments ops =
+  let n = Array.length ops in
+  let records = Array.make n None in
+  let pending = Queue.create () in
+  let send k =
+    let op = ops.(k) in
+    let depth = Service.pending env.svc in
+    let req = request ~inputs ~handles:env.handles (first + k) op in
+    let e0 = now () in
+    let frame = Wire.Binary.encode_request req in
+    let e1 = now () in
+    let req =
+      match Wire.Binary.decode_request frame with
+      | Ok r -> r
+      | Error e -> failwith ("perfbench: wire round trip failed: " ^ e)
+    in
+    let t_sub = now () in
+    Queue.push (k, depth, e1 -. e0, t_sub -. e1, Service.submit env.svc req) pending
+  in
+  let segment lo hi =
+    let t0 = now () in
+    let next = ref lo in
+    while !next < hi && !next < lo + outstanding do
+      send !next;
+      incr next
+    done;
+    while not (Queue.is_empty pending) do
+      let k, depth, enc, dec, ticket = Queue.pop pending in
+      let resp = Service.await env.svc ticket in
+      if !next < hi then begin
+        send !next;
+        incr next
+      end;
+      let r0 = now () in
+      ignore (Sys.opaque_identity (Wire.response_to_string resp));
+      let r1 = now () in
+      records.(k) <-
+        Some
+          {
+            op = ops.(k);
+            resp;
+            latency_ms = resp.Service.elapsed_ms +. (1e3 *. (r1 -. r0));
+            lag_s = 0.0;
+            depth;
+            decode_us = 1e6 *. dec;
+            encode_us = 1e6 *. (enc +. (r1 -. r0));
+          }
+    done;
+    now () -. t0
+  in
+  (* The probe runs on the service's CPU while the service is idle. *)
+  let probe () =
+    run_on `Last;
+    let p = probe () in
+    run_on `First;
+    p
+  in
+  let p0 = probe () in
+  let spans = Array.make segments (0, 0, 0.0, 0.0) and before = ref p0 in
+  for s = 0 to segments - 1 do
+    let lo = s * n / segments and hi = (s + 1) * n / segments in
+    let wall = segment lo hi in
+    let after = probe () in
+    spans.(s) <- (lo, hi, wall, (!before +. after) /. 2.0);
+    before := after
+  done;
+  (Array.map Option.get records, spans)
+
 (* Closed loop, one request at a time: server-side elapsed is then pure
    service time, which is what the per-kind figures attribute. *)
 let run_serial env inputs ops =
@@ -458,17 +558,18 @@ let verifier inputs =
 (* ------------------------------------------------------------------ *)
 
 (* Set-up (inputs, service start, session opens, warm-up) is timed three
-   times for a median; the last service is the one measured. *)
+   times for a median; the last service is the one measured. Each earlier
+   one is shut down before the next starts: an idle service's domain
+   still takes part in every collection. *)
 let setup cfg ~seed ~seconds =
-  let started = ref [] in
+  run_on `First;
   let (inputs, env), setup_s =
-    timed_median ~reps:3 (fun () ->
+    timed_median ~reps:3
+      ~discard:(fun (_, env) -> Service.shutdown env.svc)
+      (fun () ->
         let inputs = make_inputs cfg ~seed ~seconds in
-        let env = start inputs in
-        started := env :: !started;
-        (inputs, env))
+        (inputs, start inputs))
   in
-  List.iter (fun e -> if e != env then Service.shutdown e.svc) !started;
   (* Start the measured part from a compact heap, whatever the discarded
      set-ups left behind. *)
   Gc.compact ();
@@ -488,38 +589,56 @@ let tally verdicts =
 let add_tally a b =
   { attempted = a.attempted + b.attempted; failed = a.failed + b.failed; wrong = a.wrong + b.wrong }
 
+(* Goodput of the saturation rung: responses that passed per second, in
+   wall seconds and in reference seconds (each segment's wall converted
+   with its probes). *)
+let goodput passed spans =
+  let count_passed lo hi =
+    let c = ref 0 in
+    for k = lo to hi - 1 do
+      if passed.(k) then incr c
+    done;
+    fi !c
+  in
+  let total = Array.fold_left (fun a (lo, hi, _, _) -> a +. count_passed lo hi) 0.0 spans in
+  let wall = Array.fold_left (fun a (_, _, w, _) -> a +. w) 0.0 spans in
+  let reference = Array.fold_left (fun a (_, _, w, p) -> a +. ref_s w p) 0.0 spans in
+  (ratio total wall, ratio total reference)
+
 (* Both rungs on one service, then every answer checked in submission
    order. Failed requests count as slower than any latency. *)
-let run_rungs env inputs =
+let run_rungs cfg env inputs =
   let nominal, _ = run_open env inputs ~first:0 inputs.nominal in
-  (* Peak memory at nominal load, read before the overload backlog (its
-     depth follows the service's speed) and the checks allocate. *)
+  (* Peak memory at nominal load, read before the checks allocate. *)
   let hwm_kb = vm_hwm_kb () in
-  let overload, overload_wall =
-    run_open env inputs ~first:(Array.length inputs.nominal) inputs.overload
+  let saturation, spans =
+    run_closed env inputs ~first:(Array.length inputs.nominal) ~segments:cfg.segments
+      inputs.saturation
   in
   let verify = verifier inputs in
   let vn = Array.map verify nominal in
-  let vo = Array.map verify overload in
+  let vo = Array.map verify saturation in
   let lat =
     Array.mapi (fun i r -> if vn.(i) = Pass then r.latency_ms else Float.infinity) nominal
   in
-  let goodput = fi (count (( = ) Pass) vo) /. overload_wall in
-  (nominal, overload, lat, goodput, hwm_kb, add_tally (tally vn) (tally vo))
+  (nominal, saturation, lat, goodput (Array.map (( = ) Pass) vo) spans, hwm_kb,
+   add_tally (tally vn) (tally vo))
 
 let context cfg ~seed inputs =
   let digest =
     Digest.to_hex
-      (Digest.string (Marshal.to_string (inputs.payloads, inputs.nominal, inputs.overload) []))
+      (Digest.string (Marshal.to_string (inputs.payloads, inputs.nominal, inputs.saturation) []))
   in
   [
     ("schedule", Printf.sprintf "seed %d digest %s" seed digest);
     ( "service",
       "Service.create ~shards:1 ~workers:1, binary wire, no deadlines, queue limit 1000000" );
     ( "rungs",
-      Printf.sprintf "nominal %g req/s for %.1fs (%d requests); overload %g req/s for %.1fs (%d requests)"
-        cfg.nominal_rps inputs.nominal_s (Array.length inputs.nominal) cfg.overload_rps
-        inputs.overload_s (Array.length inputs.overload) );
+      Printf.sprintf
+        "nominal %g req/s open loop for %.1fs (%d requests); saturation: %d requests closed \
+         loop, %d in flight"
+        cfg.nominal_rps inputs.nominal_s (Array.length inputs.nominal)
+        (Array.length inputs.saturation) outstanding );
     ( "instances",
       Printf.sprintf
         "stateless n=%d, snd n=%d (budget = MST weight), %d sessions n=%d (sparse); hot pools of %d; %d distinct payloads"
@@ -537,8 +656,8 @@ let windowed lat q =
 
 let run_untraced cfg ~seed ~seconds =
   let inputs, env, setup_s = setup cfg ~seed ~seconds in
-  let _, _, lat, goodput, hwm_kb, t =
-    Fun.protect ~finally:(fun () -> Service.shutdown env.svc) (fun () -> run_rungs env inputs)
+  let _, _, lat, (wall_goodput, goodput), hwm_kb, t =
+    Fun.protect ~finally:(fun () -> Service.shutdown env.svc) (fun () -> run_rungs cfg env inputs)
   in
   {
     attempted = t.attempted;
@@ -557,6 +676,9 @@ let run_untraced cfg ~seed ~seconds =
           ( "latency",
             Printf.sprintf "nominal p50 %.3f ms, p90 %.3f ms, p99 %.3f ms (medians over %d slices)"
               (windowed lat 0.5) (windowed lat 0.9) (windowed lat 0.99) windows );
+          ( "saturation",
+            Printf.sprintf "goodput %.1f/s in wall seconds, %.1f/s in reference seconds"
+              wall_goodput goodput );
         ];
   }
 
@@ -583,8 +705,8 @@ let run_traced cfg ~seed ~seconds =
   in
   let patched = c "service.session.master_patched" - patched0 in
   let env = start inputs in
-  let nominal, overload, lat, _, _, t =
-    Fun.protect ~finally:(fun () -> Service.shutdown env.svc) (fun () -> run_rungs env inputs)
+  let nominal, saturation, lat, _, _, t =
+    Fun.protect ~finally:(fun () -> Service.shutdown env.svc) (fun () -> run_rungs cfg env inputs)
   in
   Obs.set_enabled false;
   let verify = verifier inputs in
@@ -608,7 +730,7 @@ let run_traced cfg ~seed ~seconds =
   let rsum f = fi (List.fold_left (fun a x -> a + f x) 0 resolved) in
   let n_resolved = fi (List.length resolved) in
   let reused = rsum (fun (_, r, _) -> r) and fresh = rsum (fun (_, _, f) -> f) in
-  let all = Array.append nominal overload in
+  let all = Array.append nominal saturation in
   let fa f = Array.map f all in
   let elapsed = Array.map (fun r -> r.resp.Service.elapsed_ms) nominal in
   let shed =
