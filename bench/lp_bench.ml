@@ -172,7 +172,7 @@ let bench_cutting_plane () =
 
 module Obs = Repro_obs.Obs
 
-(* Eta-file refactorization count for one sparse cutting-plane run, read
+(* Basis refactorization count for one sparse cutting-plane run, read
    off the lp.sparse.* observability counters. *)
 let sparse_refactors f =
   Obs.reset ();
@@ -287,20 +287,13 @@ let bench_sparse () =
   (rows, sep)
 
 (* ------------------------------------------------------------------ *)
-(* LU vs eta basis engines in the large cutting-plane regime            *)
+(* The LU basis engine in the large cutting-plane regime                *)
 (* ------------------------------------------------------------------ *)
-
-module SPK = Repro_lp.Revised_sparse
-
-let with_engine kind f =
-  let old = SPK.basis_kind () in
-  SPK.set_basis_kind kind;
-  Fun.protect ~finally:(fun () -> SPK.set_basis_kind old) f
 
 type lu_snap = {
   s_pivots : int;
   s_refactors : int;
-  s_updates : int;  (** FT ops appended (reported by lp.sparse.drift_refactors) *)
+  s_updates : int;  (** FT ops appended (lp.sparse.ft_updates) *)
   s_fill : float;  (** basis-representation nonzeros at last factor/update *)
   s_allocs : float;  (** amortized Gc minor words per pivot *)
   s_rebuilds : int;  (** warm-stall cold rebuilds (fallback chain, level 1) *)
@@ -321,7 +314,7 @@ let instrumented f =
     {
       s_pivots = v "lp.sparse.pivots";
       s_refactors = v "lp.sparse.refactors";
-      s_updates = v "lp.sparse.drift_refactors";
+      s_updates = v "lp.sparse.ft_updates";
       s_fill = g "lp.sparse.fill_nnz";
       s_allocs = g "lp.sparse.allocs_per_pivot";
       s_rebuilds = v "lp.sparse.rebuilds";
@@ -346,7 +339,7 @@ let lu_probe n =
           "  (probe n=%d: round %d  pivots=%d refactors=%d updates=%d \
            rebuilds=%d fallbacks=%d cuts=%d)\n%!"
           n !rounds_seen (v "lp.sparse.pivots") (v "lp.sparse.refactors")
-          (v "lp.sparse.drift_refactors") (v "lp.sparse.rebuilds")
+          (v "lp.sparse.ft_updates") (v "lp.sparse.rebuilds")
           (v "lp.sparse.fallbacks") (v "sne.cuts_generated")
       in
       let t0 = Unix.gettimeofday () in
@@ -358,17 +351,16 @@ let lu_probe n =
         s.SneSparse.pivots;
       print_endline (Json.to_string (Obs.stats_json ())))
 
+(* Each run's cost is checked against an independent oracle: the LP (3)
+   broadcast optimum on the same tree, solved directly by the dense
+   kernel instead of by cutting planes. A disagreement, an unenforced
+   target or a non-converged run is fatal; the deterministic counts are
+   gated by tools/check_bench.py. *)
 let bench_lu () =
-  Printf.printf
-    "\nLU vs eta basis engines (sparse cutting plane, anti-MST targets)\n";
-  Printf.printf "%-6s %-6s %11s %8s %6s %7s %8s %8s %11s %8s %6s %8s\n" "n" "m"
-    "lu" "lu-piv" "refac" "updates" "fill" "allc/pv" "eta" "eta-piv" "refac"
-    "speedup";
-  (* The eta engine is only raced up to n=256: past that its eta chains are
-     exactly the scaling wall the LU basis replaces (and why BENCH_lp.json
-     had no sparse data beyond n~128). *)
-  let lu_sizes = if smoke then [ 128; 256 ] else if quick then [ 128; 256 ] else [ 128; 256; 512; 1024 ] in
-  let eta_max = 256 in
+  Printf.printf "\nLU basis engine (sparse cutting plane, anti-MST targets)\n";
+  Printf.printf "%-6s %-6s %11s %8s %6s %7s %6s %6s %8s %8s %14s\n" "n" "m" "lu"
+    "lu-piv" "refac" "updates" "rebld" "fallbk" "fill" "allc/pv" "cost";
+  let lu_sizes = if quick then [ 128; 256 ] else [ 128; 256; 512; 1024 ] in
   let rows =
     List.map
       (fun n ->
@@ -389,85 +381,44 @@ let bench_lu () =
         let (rl, sl), lu, lu_obs_s = instrumented run in
         if not sl.SneSparse.converged then
           failwith (Printf.sprintf "lp_bench: LU cutting plane did not converge at n=%d" n);
+        let tree = anti_mst_tree inst in
+        let lp3 = (SneFast.broadcast spec ~root:inst.Instances.root tree).SneFast.cost in
+        if not (Fx.approx_eq ~eps:1e-6 rl.SneSparse.cost lp3) then
+          failwith
+            (Printf.sprintf "lp_bench: LU cutting plane and LP (3) disagree at n=%d (%g vs %g)"
+               n rl.SneSparse.cost lp3);
+        if not (Gm.Broadcast.is_tree_equilibrium ~subsidy:rl.SneSparse.subsidy spec tree) then
+          failwith (Printf.sprintf "lp_bench: LU subsidy does not enforce the target at n=%d" n);
         (* A single-core n=512-1024 loop takes minutes: reuse the
            instrumented run's wall clock there (obs enabled — within its
            certified ~10% budget) instead of re-running for a median; the
            trajectory — pivots, refactors, fill — is the point. *)
         let lu_s = if n >= 512 then lu_obs_s else time_median ~reps:5 run in
-        let eta =
-          if n > eta_max then None
-          else
-            Some
-              (with_engine SPK.Eta (fun () ->
-                   let (re, se), es, _ = instrumented run in
-                   if not se.SneSparse.converged then
-                     failwith
-                       (Printf.sprintf "lp_bench: eta cutting plane did not converge at n=%d" n);
-                   if not (Fx.approx_eq ~eps:1e-5 rl.SneSparse.cost re.SneSparse.cost) then
-                     failwith
-                       (Printf.sprintf "lp_bench: LU/eta engines disagree at n=%d (%g vs %g)"
-                          n rl.SneSparse.cost re.SneSparse.cost);
-                   let eta_s = time_median ~reps:5 run in
-                   (eta_s, es)))
-        in
-        (match eta with
-        | Some (eta_s, es) ->
-            Printf.printf
-              "%-6d %-6d %9.1fms %8d %6d %7d %8.0f %8.1f %9.1fms %8d %6d %7.2fx\n" n m
-              (1e3 *. lu_s) lu.s_pivots lu.s_refactors lu.s_updates lu.s_fill lu.s_allocs
-              (1e3 *. eta_s) es.s_pivots es.s_refactors (eta_s /. lu_s)
-        | None ->
-            Printf.printf "%-6d %-6d %9.1fms %8d %6d %7d %8.0f %8.1f %11s %8s %6s %8s\n" n m
-              (1e3 *. lu_s) lu.s_pivots lu.s_refactors lu.s_updates lu.s_fill lu.s_allocs
-              "-" "-" "-" "-");
-        let base =
-          [
-            ("n", Json.Int n);
-            ("edges", Json.Int m);
-            ("rounds", Json.Int sl.SneSparse.rounds);
-            ("cost", Json.Float rl.SneSparse.cost);
-            ("lu_ms", Json.Float (1e3 *. lu_s));
-            ("lu_pivots", Json.Int lu.s_pivots);
-            ("lu_refactors", Json.Int lu.s_refactors);
-            ("lu_updates", Json.Int lu.s_updates);
-            ("lu_fill_nnz", Json.Float lu.s_fill);
-            ("allocs_per_pivot", Json.Float lu.s_allocs);
-            ("lu_rebuilds", Json.Int lu.s_rebuilds);
-            ("lu_fallbacks", Json.Int lu.s_fallbacks);
-          ]
-        in
-        let extra =
-          match eta with
-          | None -> []
-          | Some (eta_s, es) ->
-              [
-                ("eta_ms", Json.Float (1e3 *. eta_s));
-                ("eta_pivots", Json.Int es.s_pivots);
-                ("eta_refactors", Json.Int es.s_refactors);
-                ("eta_fill_nnz", Json.Float es.s_fill);
-                ("speedup_vs_eta", Json.Float (eta_s /. lu_s));
-                ("agree", Json.Bool true);
-              ]
-        in
-        (n, lu_s, lu, eta, Json.Obj (base @ extra)))
+        Printf.printf "%-6d %-6d %9.1fms %8d %6d %7d %6d %6d %8.0f %8.1f %14.9g\n" n m
+          (1e3 *. lu_s) lu.s_pivots lu.s_refactors lu.s_updates lu.s_rebuilds
+          lu.s_fallbacks lu.s_fill lu.s_allocs rl.SneSparse.cost;
+        ( n,
+          Json.Obj
+            [
+              ("n", Json.Int n);
+              ("edges", Json.Int m);
+              ("rounds", Json.Int sl.SneSparse.rounds);
+              ("cost", Json.Float rl.SneSparse.cost);
+              ("lp3_cost", Json.Float lp3);
+              ("agree", Json.Bool true);
+              ("lu_ms", Json.Float (1e3 *. lu_s));
+              ("lu_pivots", Json.Int lu.s_pivots);
+              ("lu_refactors", Json.Int lu.s_refactors);
+              ("lu_updates", Json.Int lu.s_updates);
+              ("lu_fill_nnz", Json.Float lu.s_fill);
+              ("allocs_per_pivot", Json.Float lu.s_allocs);
+              ("lu_rebuilds", Json.Int lu.s_rebuilds);
+              ("lu_fallbacks", Json.Int lu.s_fallbacks);
+            ] ))
       lu_sizes
   in
-  let max_n = List.fold_left (fun a (n, _, _, _, _) -> max a n) 0 rows in
-  let speedup_128 =
-    List.fold_left
-      (fun acc (n, lu_s, _, eta, _) ->
-        match eta with Some (eta_s, _) when n = 128 -> eta_s /. lu_s | _ -> acc)
-      0.0 rows
-  in
-  let fewer_refactors_256 =
-    List.fold_left
-      (fun acc (n, _, lu, eta, _) ->
-        match eta with
-        | Some (_, es) when n = 256 -> lu.s_refactors < es.s_refactors
-        | _ -> acc)
-      false rows
-  in
-  (List.map (fun (_, _, _, _, j) -> j) rows, max_n, speedup_128, fewer_refactors_256)
+  let max_n = List.fold_left (fun a (n, _) -> max a n) 0 rows in
+  (List.map snd rows, max_n)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: disabled-path overhead and a stats snapshot           *)
@@ -540,7 +491,7 @@ let () =
   let kernel = bench_kernel () in
   let warm_total, cold_total, cp_rows = bench_cutting_plane () in
   let sparse_rows, (sep_speedup, sep_row) = bench_sparse () in
-  let lu_rows, lu_max_n, lu_speedup_128, lu_fewer_refactors_256 = bench_lu () in
+  let lu_rows, lu_max_n = bench_lu () in
   let obs = bench_obs () in
   let sparse_max_n = List.fold_left (fun a (n, _, _) -> max a n) 0 sparse_rows in
   let sparse_speedup_max_n =
@@ -561,10 +512,8 @@ let () =
   in
   Printf.printf
     "\nsummary: n=64 kernel speedup %.2fx (target >= 3x); cutting-plane pivots warm %d vs \
-     cold %d; sparse/dense at n=%d %.2fx; parallel separation %.2fx; LU completes n=%d, \
-     %.2fx vs eta at n=128\n"
-    n64_speedup warm_total cold_total sparse_max_n sparse_speedup_max_n sep_speedup lu_max_n
-    lu_speedup_128;
+     cold %d; sparse/dense at n=%d %.2fx; parallel separation %.2fx; LU completes n=%d\n"
+    n64_speedup warm_total cold_total sparse_max_n sparse_speedup_max_n sep_speedup lu_max_n;
   Json.write_file ~path:json_path
     (Json.Obj
        [
@@ -576,9 +525,7 @@ let () =
                ("functor_backend", Json.Str SneFunctor.Lp.name);
                ("unboxed_backend", Json.Str SneFast.Lp.name);
                ("sparse_backend", Json.Str SneSparse.Lp.name);
-               ( "sparse_engine",
-                 Json.Str
-                   (match SPK.basis_kind () with SPK.Lu -> "lu-ft" | SPK.Eta -> "eta") );
+               ("sparse_engine", Json.Str "lu-ft");
                ("cores", Json.Int (Domain.recommended_domain_count ()));
              ] );
          ("kernel", Json.List kernel);
@@ -598,8 +545,6 @@ let () =
                ("sparse_max_n", Json.Int sparse_max_n);
                ("separation_speedup", Json.Float sep_speedup);
                ("lu_max_n", Json.Int lu_max_n);
-               ("lu_speedup_n128", Json.Float lu_speedup_128);
-               ("lu_fewer_refactors_n256", Json.Bool lu_fewer_refactors_256);
              ] );
        ]);
   Printf.printf "wrote %s\n" json_path;
@@ -608,10 +553,6 @@ let () =
   if (not smoke) && sparse_speedup_max_n < 2.0 then
     Printf.eprintf "WARNING: sparse/dense speedup %.2fx at n=%d below the 2x target\n"
       sparse_speedup_max_n sparse_max_n;
-  if lu_speedup_128 < 1.0 then
-    Printf.eprintf "WARNING: LU %.2fx vs eta at n=128 below the 1.0x floor\n" lu_speedup_128;
-  if lu_max_n >= 256 && not lu_fewer_refactors_256 then
-    Printf.eprintf "WARNING: LU did not refactorize strictly less than eta at n=256\n";
   if sep_speedup < 1.5 then
     Printf.eprintf
       "WARNING: parallel separation speedup %.2fx below the 1.5x target (%d cores visible)\n"

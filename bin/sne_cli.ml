@@ -119,8 +119,8 @@ let solve_cmd =
     Arg.(value & opt (enum [ ("dense", `Dense); ("sparse", `Sparse) ]) `Dense
          & info [ "backend" ] ~docv:"BACKEND"
              ~doc:"LP kernel for the lp3/lp2/cut methods: dense (the unboxed \
-                   tableau kernel) or sparse (the revised simplex with an eta \
-                   file). Both return the same optima; sparse wins on large \
+                   tableau kernel) or sparse (the revised simplex over a sparse \
+                   LU basis). Both return the same optima; sparse wins on large \
                    cutting-plane masters.")
   in
   let domains_arg =

@@ -535,8 +535,9 @@ module Float = struct
   (** {!warm_kernel_pricer} on the sparse revised-simplex kernel
       ({!Repro_lp.Revised_sparse}): same LP (3) construction and
       cross-solve basis hinting, but the masters stay sparse and the
-      crash start replays the previous tree's basic columns through the
-      eta file instead of a dense rebuild. Same agreement caveats. *)
+      crash start replays the previous tree's basic columns as
+      Forrest–Tomlin updates of the LU factors instead of a dense
+      rebuild. Same agreement caveats. *)
   let sparse_kernel_pricer spec ~root =
     let module K = Repro_lp.Revised_sparse in
     let graph = spec.Gm.graph in

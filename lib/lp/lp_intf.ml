@@ -27,22 +27,6 @@
     number of simplex pivots spent on [st] so far — the currency the
     benchmarks compare warm against cold restarts in. *)
 
-(** Pricing rule for kernels that expose a choice (today the sparse
-    revised-simplex kernel, {!Revised_sparse}):
-
-    - [Partial]: rotating-section partial pricing on the primal side and
-      most-violated-row selection on the dual side — cheap per iteration,
-      more iterations on hard bases;
-    - [Devex]: reference-framework Devex (an approximate projected
-      steepest edge, Forrest–Goldfarb on the dual side) — a little more
-      work per pivot, markedly fewer pivots on the long cutting-plane
-      masters. The default for {!Revised_sparse}.
-
-    Selection is process-wide ([Revised_sparse.set_pricing]) and
-    snapshotted per solver state at creation, so an in-flight solve is
-    internally consistent. *)
-type pricing = Partial | Devex
-
 module type BACKEND = sig
   type num
   (** The scalar type (the field the LP is over). *)

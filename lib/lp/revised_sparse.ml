@@ -15,22 +15,18 @@
    - constraints are stored twice: CSR (rows, append-only — the dual
      ratio test sweeps the leaving row through it) and CSC (per-column
      grow arrays — FTRAN scatters and pricing dot-products walk columns);
-   - the basis inverse is, by default, a Markowitz-ordered sparse LU
-     factorization updated in place by Forrest–Tomlin row eliminations on
-     every pivot ([lu_refactor] / [lu_update]); the PR-4 product-form eta
-     file survives as a selectable legacy mode ([set_basis_kind Eta]) so
-     the benches can measure one against the other;
-   - pricing is Devex by default (reference-framework weights on both the
-     primal and the dual side, [Lp_intf.pricing]), with the PR-4 partial
-     pricing (rotating column sections) selectable; both fall back to
-     Bland's rule after a degeneracy streak, mirroring the dense kernel.
+   - the basis inverse is a Markowitz-ordered sparse LU factorization
+     updated in place by Forrest–Tomlin row eliminations on every pivot
+     ([lu_refactor] / [lu_update]);
+   - pricing is Devex (reference-framework weights on both the primal and
+     the dual side), falling back to Bland's rule after a degeneracy
+     streak, mirroring the dense kernel.
 
-   Both basis modes share the op-file machinery: an LU factorization is a
-   file of column ops (the Gauss multipliers of each Markowitz pivot)
-   plus an explicit permuted-triangular U, and a Forrest–Tomlin update
-   appends one row op and edits U, so FTRAN/BTRAN are "apply the op file,
-   then solve with U" — with U = I and one column op per pivot that
-   degenerates to exactly the old eta file.
+   The LU factors live in one op file plus an explicit
+   permuted-triangular U: refactorization writes a column op per
+   Markowitz pivot (its Gauss multipliers), while each Forrest–Tomlin
+   update and each appended cut writes one row op and edits U. FTRAN and
+   BTRAN are "apply the op file, then solve with U".
 
    A fresh problem starts from the all-slack basis: dual feasible for the
    whole LP (3) family (minimize a nonnegative combination of
@@ -76,12 +72,9 @@ let c_dual = Obs.counter "lp.sparse.dual_pivots"
 let c_flips = Obs.counter "lp.sparse.bound_flips"
 let c_refactors = Obs.counter "lp.sparse.refactors"
 
-(* Historical name: under the eta basis this counted the refactorizations
-   forced by FTRAN/BTRAN pivot drift. The LU basis made that path dead
-   (the Forrest–Tomlin diagonal test subsumes it), so the counter now
-   reports the length of the Forrest–Tomlin update file: one tick per row
-   op appended by [lu_update]. *)
-let c_drift = Obs.counter "lp.sparse.drift_refactors"
+(* Length of the Forrest–Tomlin update file: one tick per nonempty row op
+   appended by a basis update or an appended cut. *)
+let c_ft_updates = Obs.counter "lp.sparse.ft_updates"
 let c_cold = Obs.counter "lp.sparse.cold_solves"
 let c_warm = Obs.counter "lp.sparse.warm_solves"
 let c_rebuilds = Obs.counter "lp.sparse.rebuilds"
@@ -177,21 +170,17 @@ let feas_tol = 1e-9
 let phase1_tol = 1e-7
 let degen_tol = 1e-12
 let bland_after = 40
-let eta_drop = 1e-13 (* eta/U entries below this are rounding noise *)
-let refactor_etas = 64 (* eta-file growth that triggers refactorization *)
+let eta_drop = 1e-13 (* op-file/U entries below this are rounding noise *)
 
-(* LU-mode knobs. The Markowitz threshold trades sparsity against
-   stability the standard way (accept a pivot within a factor [lu_mtol]
-   of its column's max); a Forrest–Tomlin update whose new diagonal falls
-   below [lu_dtol] is rejected and answered with a fresh factorization.
-   FT row ops are both cheaper and better conditioned than product-form
-   etas (one short U-row elimination instead of a near-dense FTRANed
-   column), so the LU update file is allowed to grow [lu_updates] long
-   between refactorizations where the eta file refactors at
-   [refactor_etas] — and on large masters the cap scales as [nrows/4]:
-   once the permuted-U solve dominates FTRAN anyway, a longer update
-   file costs almost nothing while each avoided Markowitz
-   refactorization saves work that grows with fill. *)
+(* LU knobs. The Markowitz threshold trades sparsity against stability
+   the standard way (accept a pivot within a factor [lu_mtol] of its
+   column's max); a Forrest–Tomlin update whose new diagonal falls below
+   [lu_dtol] is rejected and answered with a fresh factorization. An FT
+   row op is one short U-row elimination, so the update file may grow
+   [lu_updates] long between refactorizations — and on large masters the
+   cap scales as [nrows/4]: once the permuted-U solve dominates FTRAN
+   anyway, a longer update file costs almost nothing while each avoided
+   Markowitz refactorization saves work that grows with fill. *)
 let lu_mtol = 0.1
 let lu_dtol = 1e-10
 let lu_updates = 100
@@ -200,24 +189,6 @@ let lu_updates = 100
    largest weight outgrows this — Harris's classic guard against the
    reference framework drifting into noise. *)
 let devex_reset = 1e7
-
-(* ------------------------------------------------------------------ *)
-(* Mode selection                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type basis_kind = Lu | Eta
-
-(* Process-wide defaults, snapshotted into each solver core when it is
-   allocated (so an in-flight solve never changes representation or
-   pricing mid-stream). Set them at startup — they are plain refs, not
-   synchronized against concurrent solves. *)
-let basis_mode = ref Lu
-let set_basis_kind k = basis_mode := k
-let basis_kind () = !basis_mode
-let pricing_mode = ref Lp_intf.Devex
-let set_pricing p = pricing_mode := p
-let pricing () = !pricing_mode
-
 
 (* ------------------------------------------------------------------ *)
 (* The op file                                                         *)
@@ -247,24 +218,21 @@ let[@inline] fmax (x : float) (y : float) : float = if y > x then y else x
 let empty_iv : V.ivec = V.I.make 0 0
 let empty_fv : V.fvec = V.F.make 0 0.0
 
-(* Column op (from a pivot on row [r] with FTRANed column [w]):
-     FTRAN   t = w_r / pr; w_r <- t; w_i <- w_i - v_i * t
-     BTRAN   w_r <- (w_r - sum_i v_i * w_i) / pr
-   Row op (from an appended row [r] or a Forrest-Tomlin elimination;
-   pr = 1):
+(* Column op (the Gauss multipliers of a Markowitz pivot on row [r]):
+     FTRAN   w_i <- w_i - v_i * w_r
+     BTRAN   w_r <- w_r - sum_i v_i * w_i
+   Row op (from an appended row [r] or a Forrest-Tomlin elimination):
      FTRAN   w_r <- w_r - sum_i v_i * w_i
      BTRAN   w_i <- w_i - v_i * w_r
+   Both kinds have a unit pivot: the pivot values live in U's diagonal.
    Ops are stored flat: op [k] keeps its kind in [op_col] ('\001' =
-   column), its pivot row in [op_r], its pivot value in [op_pr], and its
-   off-pivot entries in [e_idx]/[e_val] at positions
-   [op_start.(k) .. op_start.(k+1) - 1]. Appending an op is
+   column), its pivot row in [op_r], and its off-pivot entries in
+   [e_idx]/[e_val] at positions [op_start.(k) .. op_start.(k+1) - 1]. Appending an op is
    allocation-free once the buffers are warm, where the PR-7 layout
    consed two fresh arrays and a record per pivot (ROADMAP item 5's
    allocation discipline; see DESIGN.md §13). *)
 
 type core = {
-  mode : basis_kind; (* basis representation, fixed at allocation *)
-  price : Lp_intf.pricing; (* pricing rule, fixed at allocation *)
   ns : int; (* structural columns; slack of row r is column ns + r *)
   (* CSR, rows append-only; Bigarray-backed so the sweeps never touch
      the GC *)
@@ -287,12 +255,10 @@ type core = {
   (* basis *)
   mutable basis : int array; (* per row *)
   mutable xb : V.fvec; (* values of the basic columns, per row *)
-  (* flat op file (see above). Eta mode: one column op per pivot, one
-     row op per appended cut. LU mode: the factorization's Gauss column
-     ops followed by one Forrest-Tomlin row op per pivot/appended cut. *)
+  (* flat op file (see above): the factorization's Gauss column ops
+     followed by one Forrest-Tomlin row op per pivot/appended cut. *)
   mutable op_col : Bytes.t; (* '\001' = column op *)
   mutable op_r : int array;
-  mutable op_pr : V.fvec;
   mutable op_start : int array; (* n_etas + 1 entries in use *)
   mutable e_idx : V.ivec;
   mutable e_val : V.fvec;
@@ -304,13 +270,13 @@ type core = {
      factorization itself, or dense bases would refactor every pivot *)
   mutable base_etas : int;
   mutable base_nnz : int;
-  (* Explicit U of the LU basis (LU mode only; identity in eta mode).
-     U is triangular under a pair of permutations: position [p] pairs
-     problem row [row_of_pos.(p)] with slot [slot_of_pos.(p)], where slot
-     [s] carries basic column [basis.(s)]. [udiag] is indexed by slot;
-     [ur_*] hold each row's entries strictly right of its diagonal as
-     (slot, value); [uc_*] hold each slot's entries strictly above its
-     diagonal as (row, value) — the same nonzeros stored both ways. *)
+  (* Explicit U of the LU basis, triangular under a pair of
+     permutations: position [p] pairs problem row [row_of_pos.(p)] with
+     slot [slot_of_pos.(p)], where slot [s] carries basic column
+     [basis.(s)]. [udiag] is indexed by slot; [ur_*] hold each row's
+     entries strictly right of its diagonal as (slot, value); [uc_*]
+     hold each slot's entries strictly above its diagonal as (row,
+     value) — the same nonzeros stored both ways. *)
   mutable udiag : V.fvec;
   mutable ur_idx : V.ivec array;
   mutable ur_val : V.fvec array;
@@ -358,7 +324,6 @@ type core = {
      probe. *)
   cmag : V.fvec;
   (* pricing / anti-cycling *)
-  mutable price_ptr : int;
   mutable degen_streak : int;
   mutable bland : bool;
   (* stats *)
@@ -419,7 +384,6 @@ let op_reserve core =
   let k = core.n_etas in
   core.op_r <- grow_i core.op_r (k + 1) 0;
   core.op_start <- grow_i core.op_start (k + 2) 0;
-  core.op_pr <- V.F.grow core.op_pr (k + 1) 1.0;
   if Bytes.length core.op_col <= k then begin
     let nb = Bytes.length core.op_col in
     let b = Bytes.make (max (k + 1) (max 16 (2 * nb))) '\000' in
@@ -427,32 +391,28 @@ let op_reserve core =
     core.op_col <- b
   end
 
-(* Seal the pending entries as one op. [rev] flips the stored entry
-   order: the PR-7 layout consed entries onto a list and [Array.of_list]
-   reversed them, and the row-op FTRAN / column-op BTRAN dot products
-   sum in entry order, so preserving the historical order keeps results
-   bit-identical. *)
-let op_commit core ~col ~r ~pr ~rev =
+(* Seal the pending entries as one op, stored in reverse emission order.
+   The row-op FTRAN and column-op BTRAN dot products sum in stored
+   order, so this order is part of the kernel's exact floating-point
+   results (and of every pivot count the benches gate). *)
+let op_commit core ~col ~r =
   op_reserve core;
   let k = core.n_etas in
   let s = core.op_start.(k) and e = core.e_n in
-  if rev then begin
-    let idx = core.e_idx and vl = core.e_val in
-    let i = ref s and j = ref (e - 1) in
-    while !i < !j do
-      let ti = iget idx !i in
-      iset idx !i (iget idx !j);
-      iset idx !j ti;
-      let tv = fget vl !i in
-      fset vl !i (fget vl !j);
-      fset vl !j tv;
-      incr i;
-      decr j
-    done
-  end;
+  let idx = core.e_idx and vl = core.e_val in
+  let i = ref s and j = ref (e - 1) in
+  while !i < !j do
+    let ti = iget idx !i in
+    iset idx !i (iget idx !j);
+    iset idx !j ti;
+    let tv = fget vl !i in
+    fset vl !i (fget vl !j);
+    fset vl !j tv;
+    incr i;
+    decr j
+  done;
   Bytes.unsafe_set core.op_col k (if col then '\001' else '\000');
   core.op_r.(k) <- r;
-  fset core.op_pr k pr;
   core.op_start.(k + 1) <- e;
   core.n_etas <- k + 1;
   core.eta_nnz <- core.eta_nnz + (e - s) + 1
@@ -509,18 +469,17 @@ let u_bsolve core (w : V.fvec) =
   done;
   V.F.blit fx 0 w 0 core.nrows
 
-(* B^-1 w. In LU mode the op-file intermediate (the Forrest–Tomlin spike
-   of the column being transformed) is saved in [core.spike]: a pivot on
-   the column FTRANed last uses it for the basis update. *)
+(* B^-1 w. The op-file intermediate (the Forrest–Tomlin spike of the
+   column being transformed) is saved in [core.spike]: a pivot on the
+   column FTRANed last uses it for the basis update. *)
 let ftran core (w : V.fvec) =
-  let idx = core.e_idx and vl = core.e_val and pr = core.op_pr in
+  let idx = core.e_idx and vl = core.e_val in
   let st = core.op_start and rr = core.op_r and oc = core.op_col in
   for k = 0 to core.n_etas - 1 do
     let s = Array.unsafe_get st k and e = Array.unsafe_get st (k + 1) in
     let r = Array.unsafe_get rr k in
     if Bytes.unsafe_get oc k = '\001' then begin
-      let t = fget w r /. fget pr k in
-      fset w r t;
+      let t = fget w r in
       if t <> 0.0 then
         for q = s to e - 1 do
           let i = iget idx q in
@@ -535,14 +494,12 @@ let ftran core (w : V.fvec) =
       fset w r (fget w r -. !acc)
     end
   done;
-  if core.mode = Lu then begin
-    V.F.blit w 0 core.spike 0 core.nrows;
-    u_fsolve core w
-  end
+  V.F.blit w 0 core.spike 0 core.nrows;
+  u_fsolve core w
 
 let btran core (w : V.fvec) =
-  if core.mode = Lu then u_bsolve core w;
-  let idx = core.e_idx and vl = core.e_val and pr = core.op_pr in
+  u_bsolve core w;
+  let idx = core.e_idx and vl = core.e_val in
   let st = core.op_start and rr = core.op_r and oc = core.op_col in
   for k = core.n_etas - 1 downto 0 do
     let s = Array.unsafe_get st k and e = Array.unsafe_get st (k + 1) in
@@ -552,7 +509,7 @@ let btran core (w : V.fvec) =
       for q = s to e - 1 do
         acc := !acc +. (fget vl q *. fget w (iget idx q))
       done;
-      fset w r ((fget w r -. !acc) /. fget pr k)
+      fset w r (fget w r -. !acc)
     end
     else begin
       let t = fget w r in
@@ -564,18 +521,8 @@ let btran core (w : V.fvec) =
     end
   done
 
-(* Column op from the FTRANed entering column [w], pivot row [r]. *)
-let push_col_eta core r (w : V.fvec) =
-  for i = 0 to core.nrows - 1 do
-    if i <> r then begin
-      let v = w.{i} in
-      if Float.abs v > eta_drop then op_emit core i v
-    end
-  done;
-  op_commit core ~col:true ~r ~pr:w.{r} ~rev:false
-
 (* ------------------------------------------------------------------ *)
-(* U maintenance (LU mode)                                             *)
+(* U maintenance                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* [u_nnz] counts each off-diagonal nonzero once: the row-wise side
@@ -711,8 +658,8 @@ let eliminate_row_spike core it sdiag (sp : V.fvec) use_sp =
     end
   done;
   if core.e_n > e0 then begin
-    op_commit core ~col:false ~r:it ~pr:1.0 ~rev:true;
-    Obs.incr c_drift
+    op_commit core ~col:false ~r:it;
+    Obs.incr c_ft_updates
   end;
   !d
 
@@ -844,55 +791,6 @@ let recompute_xb core =
 (* Refactorization: rebuild the basis representation from scratch       *)
 (* ------------------------------------------------------------------ *)
 
-(* Eta mode: re-enter the basic columns into an identity basis one at a
-   time, sparsest first, claiming for each the unclaimed row with the
-   largest FTRANed magnitude (partial pivoting restricted to free rows).
-   Rows whose basic column is their own slack are trivial and claim
-   themselves. Returns [false] when no acceptable pivot remains — the
-   caller rebuilds cold. Also recomputes [xb], so refactorization doubles
-   as drift repair. *)
-let eta_refactor core =
-  ops_clear core;
-  let claimed = Array.make core.nrows false in
-  let pending = ref [] in
-  for r = 0 to core.nrows - 1 do
-    if core.basis.(r) = core.ns + r then claimed.(r) <- true
-    else pending := core.basis.(r) :: !pending
-  done;
-  let col_nnz j = if j < core.ns then core.clen.(j) else 1 in
-  let pending =
-    List.sort (fun a b -> compare (col_nnz a, a) (col_nnz b, b)) !pending
-  in
-  let w = core.wk in
-  let ok = ref true in
-  List.iter
-    (fun c ->
-      if !ok then begin
-        V.F.fill_range w 0 core.nrows 0.0;
-        scatter_col core c w;
-        ftran core w;
-        let best = ref (-1) and bestv = ref 0.0 in
-        for r = 0 to core.nrows - 1 do
-          if (not claimed.(r)) && Float.abs w.{r} > !bestv then begin
-            best := r;
-            bestv := Float.abs w.{r}
-          end
-        done;
-        if !best < 0 || !bestv <= 1e-10 then ok := false
-        else begin
-          let r = !best in
-          push_col_eta core r w;
-          claimed.(r) <- true;
-          core.basis.(r) <- c;
-          core.bpos.(c) <- r
-        end
-      end)
-    pending;
-  core.base_etas <- core.n_etas;
-  core.base_nnz <- core.eta_nnz;
-  if !ok then recompute_xb core;
-  !ok
-
 (* Markowitz working-submatrix scratch, shared per domain through the
    arena (DESIGN.md §13): column counts, candidate-row cursors, row
    lengths, and the packed active flags ([0,n) rows, [n,2n) columns).
@@ -904,7 +802,7 @@ let a_coln = Arena.ints ()
 let a_rlen = Arena.ints ()
 let a_act = Arena.bytes ()
 
-(* LU mode: Markowitz-ordered sparse LU of the current basis matrix
+(* Markowitz-ordered sparse LU of the current basis matrix
    (column [basis.(s)] at slot [s]), rebuilding the op file (the Gauss
    column ops of each pivot) and the explicit U from scratch. Pivots
    minimize the fill score (rcount-1)(ccount-1) over the candidate rows
@@ -914,8 +812,8 @@ let a_act = Arena.bytes ()
    active rows only ever hold entries in active columns. Returns
    [false] on a numerically singular basis — the caller rebuilds cold.
    Recomputes [xb] on success, so refactorization doubles as drift
-   repair. Unlike [eta_refactor] it never reassigns basic columns to
-   different rows: the row permutation lives inside U. *)
+   repair. Basic columns never move to different rows: the row
+   permutation lives inside U. *)
 let lu_refactor core =
   let n = core.nrows in
   ops_clear core;
@@ -1070,8 +968,7 @@ let lu_refactor core =
         !v
       in
       (* Eliminate column [s] from the other rows holding it; the
-         multipliers become one column op, committed below with the
-         historical (reversed) entry order. *)
+         multipliers become one column op, committed below. *)
       let e0 = core.op_start.(core.n_etas) in
       for k = 0 to col_n.{s} - 1 do
         let r' = iget core.rf_rows.(s) k in
@@ -1150,7 +1047,7 @@ let lu_refactor core =
       done;
       (* the eliminated entries leave column s *)
       ccount.{s} <- 1;
-      if core.e_n > e0 then op_commit core ~col:true ~r ~pr:1.0 ~rev:true;
+      if core.e_n > e0 then op_commit core ~col:true ~r;
       (* retire the pivot row and column *)
       Bytes.unsafe_set act r '\000';
       Bytes.unsafe_set act (n + s) '\000';
@@ -1228,30 +1125,22 @@ let lu_refactor core =
 let refactor core =
   Obs.incr c_refactors;
   core.n_refactors <- core.n_refactors + 1;
-  match core.mode with Lu -> lu_refactor core | Eta -> eta_refactor core
+  lu_refactor core
 
 let maybe_refactor core =
-  let cap =
-    match core.mode with
-    | Lu -> max lu_updates (core.nrows / 4)
-    | Eta -> refactor_etas
-  in
   if
-    core.n_etas - core.base_etas >= cap
+    core.n_etas - core.base_etas >= max lu_updates (core.nrows / 4)
     || core.eta_nnz - core.base_nnz > 24 * (core.nrows + 8)
   then refactor core
   else true
 
-(* Record a basis change (entering column FTRANed into [w], now basic at
-   row [r]) in the representation, then apply the refactorization
-   policy. Returns [false] when the representation could not be
-   repaired; the caller stalls into the cold-rebuild chain. *)
-let basis_pivot core r w =
-  match core.mode with
-  | Eta ->
-      push_col_eta core r w;
-      maybe_refactor core
-  | Lu -> if lu_update core r then maybe_refactor core else refactor core
+(* Record a basis change (the entering column, FTRANed last so its spike
+   sits in [core.spike], now basic at row [r]) in the LU factors, then
+   apply the refactorization policy. Returns [false] when the factors
+   could not be repaired; the caller stalls into the cold-rebuild
+   chain. *)
+let basis_pivot core r =
+  if lu_update core r then maybe_refactor core else refactor core
 
 (* ------------------------------------------------------------------ *)
 (* Feasibility bookkeeping                                             *)
@@ -1352,12 +1241,9 @@ let candidate core ~phase1 (y : V.fvec) j =
     else 0
   end
 
-(* Entering-column choice. Devex: full scan maximizing d^2 / gamma_j
+(* Entering-column choice: a full Devex scan maximizing d^2 / gamma_j
    over the reference-framework weights (an approximate projected
-   steepest edge). Partial: rotate through column sections starting at
-   [price_ptr], stop at the end of the first section containing a
-   candidate (largest |d| within it). Bland mode scans everything and
-   takes the least index. *)
+   steepest edge). Bland mode takes the least candidate index. *)
 let pick_entering core ~phase1 y =
   let n = ncols core in
   if core.bland then begin
@@ -1374,7 +1260,7 @@ let pick_entering core ~phase1 y =
      with Exit -> ());
     if !best < 0 then None else Some (!best, !bdir)
   end
-  else if core.price = Lp_intf.Devex then begin
+  else begin
     let best = ref (-1) and bdir = ref 0 and bests = ref 0.0 in
     for j = 0 to n - 1 do
       let dir = candidate core ~phase1 y j in
@@ -1389,32 +1275,6 @@ let pick_entering core ~phase1 y =
       end
     done;
     if !best < 0 then None else Some (!best, !bdir)
-  end
-  else begin
-    let section = max 64 (n / 8) in
-    let best = ref (-1) and bdir = ref 0 and bestv = ref 0.0 in
-    let off = ref 0 in
-    (try
-       while !off < n do
-         let j = (core.price_ptr + !off) mod n in
-         let dir = candidate core ~phase1 y j in
-         if dir <> 0 then begin
-           let mag = core.cmag.{0} in
-           if mag > !bestv then begin
-             best := j;
-             bdir := dir;
-             bestv := mag
-           end
-         end;
-         incr off;
-         if !off mod section = 0 && !best >= 0 then raise Exit
-       done
-     with Exit -> ());
-    if !best < 0 then None
-    else begin
-      core.price_ptr <- (!best + 1) mod n;
-      Some (!best, !bdir)
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1559,7 +1419,7 @@ let primal_step core ~phase1 j dir =
     else begin
       let r = !leave_r in
       let vq = nb_val core j +. step in
-      if core.price = Lp_intf.Devex then devex_primal_update core j r w;
+      devex_primal_update core j r w;
       let lv = core.basis.(r) in
       core.nb_up.(lv) <- !leave_up;
       core.bpos.(lv) <- -1;
@@ -1570,7 +1430,7 @@ let primal_step core ~phase1 j dir =
       Obs.incr c_pivots;
       Obs.incr c_primal;
       track_degeneracy core t;
-      if basis_pivot core r w then `Step else `Stalled
+      if basis_pivot core r then `Step else `Stalled
     end
   end
 
@@ -1628,31 +1488,27 @@ let primal_loop core ~phase1 =
    verdict is a sound infeasibility certificate independent of dual
    feasibility: the leaving row's equation already maximizes (minimizes)
    the basic value over the nonbasic boxes. *)
-(* Leaving-row choice for the dual simplex: the most violated row under
-   partial pricing, the largest violation^2 / weight under dual Devex
-   (Forrest–Goldfarb). *)
+(* Leaving-row choice for the dual simplex: the largest violation^2 /
+   weight under dual Devex (Forrest–Goldfarb). *)
 let pick_leaving core =
-  match core.price with
-  | Lp_intf.Partial -> max_violation core
-  | Lp_intf.Devex ->
-      let row = ref (-1) and amt = ref feas_tol and below = ref false in
-      let bests = ref 0.0 in
-      for r = 0 to core.nrows - 1 do
-        let c = core.basis.(r) in
-        let v = core.xb.{r} in
-        let d_lo = core.lo.{c} -. v and d_up = v -. core.up.{c} in
-        let a = fmax d_lo d_up in
-        if a > feas_tol then begin
-          let s = a *. a /. core.dwr.{r} in
-          if !row < 0 || s > !bests then begin
-            bests := s;
-            row := r;
-            amt := a;
-            below := d_lo >= d_up
-          end
-        end
-      done;
-      (!row, !amt, !below)
+  let row = ref (-1) and amt = ref feas_tol and below = ref false in
+  let bests = ref 0.0 in
+  for r = 0 to core.nrows - 1 do
+    let c = core.basis.(r) in
+    let v = core.xb.{r} in
+    let d_lo = core.lo.{c} -. v and d_up = v -. core.up.{c} in
+    let a = fmax d_lo d_up in
+    if a > feas_tol then begin
+      let s = a *. a /. core.dwr.{r} in
+      if !row < 0 || s > !bests then begin
+        bests := s;
+        row := r;
+        amt := a;
+        below := d_lo >= d_up
+      end
+    end
+  done;
+  (!row, !amt, !below)
 
 let dual_loop core =
   let max_iter = 500 + (20 * (core.nrows + ncols core)) in
@@ -1751,7 +1607,7 @@ let dual_loop core =
             for i = 0 to core.nrows - 1 do
               core.xb.{i} <- core.xb.{i} -. (dq *. w.{i})
             done;
-            if core.price = Lp_intf.Devex then devex_dual_update core r w;
+            devex_dual_update core r w;
             let lv = core.basis.(r) in
             core.nb_up.(lv) <- not below;
             core.bpos.(lv) <- -1;
@@ -1762,7 +1618,7 @@ let dual_loop core =
             Obs.incr c_pivots;
             Obs.incr c_dual;
             track_degeneracy core (Float.abs dq);
-            if basis_pivot core r w then go false else `Stalled
+            if basis_pivot core r then go false else `Stalled
           end
         end
       end
@@ -1894,8 +1750,6 @@ let alloc_core prob rows =
   done;
   let core =
     {
-      mode = !basis_mode;
-      price = !pricing_mode;
       ns;
       nrows;
       row_ptr;
@@ -1915,7 +1769,6 @@ let alloc_core prob rows =
       xb = V.F.make (max 1 nrows) 0.0;
       op_col = Bytes.make 16 '\000';
       op_r = Array.make 16 0;
-      op_pr = V.F.make 16 1.0;
       op_start = Array.make 17 0;
       e_idx = V.I.make 64 0;
       e_val = V.F.make 64 0.0;
@@ -1957,7 +1810,6 @@ let alloc_core prob rows =
       touched = Array.make (max 1 nc) 0;
       n_touched = 0;
       cmag = V.F.make 1 0.0;
-      price_ptr = 0;
       degen_streak = 0;
       bland = false;
       n_pivots = 0;
@@ -2025,20 +1877,15 @@ let crash_hint core hint =
           core.bpos.(lv) <- -1;
           core.basis.(r) <- j;
           core.bpos.(j) <- r;
-          (match core.mode with
-          | Eta ->
-              push_col_eta core r w;
-              crashed := true
-          | Lu ->
-              if lu_update core r then crashed := true
-              else begin
-                (* a failed update leaves U stale: revert the crash
-                   pivot and refactorize the previous (valid) basis *)
-                core.basis.(r) <- lv;
-                core.bpos.(lv) <- r;
-                core.bpos.(j) <- -1;
-                ignore (refactor core)
-              end)
+          if lu_update core r then crashed := true
+          else begin
+            (* a failed update leaves U stale: revert the crash pivot and
+               refactorize the previous (valid) basis *)
+            core.basis.(r) <- lv;
+            core.bpos.(lv) <- r;
+            core.bpos.(j) <- -1;
+            ignore (refactor core)
+          end
         end
       end)
     hint;
@@ -2075,9 +1922,9 @@ let solve_core core prob ~hint =
 (* ------------------------------------------------------------------ *)
 
 (* Append one canonicalized row with a fresh basic slack. The basis
-   matrix gains one row and one unit column; its inverse is the old one
-   extended by a single row op holding the new row's coefficients on
-   the old basic columns. Old basic values are untouched. Returns [true]
+   matrix gains one row and one unit column; the factors gain one row
+   op (the new row eliminated against U) and a unit diagonal. Old basic
+   values are untouched. Returns [true]
    when the new slack already sits within its bounds. *)
 let append_row core (c : constr) =
   let ncs, csi, csv = canon_scratch c.coeffs in
@@ -2086,10 +1933,10 @@ let append_row core (c : constr) =
   core.rv <- V.F.grow core.rv (core.nnz + ncs) 0.0;
   core.row_ptr <- grow_i core.row_ptr (r + 2) 0;
   core.b <- V.F.grow core.b (r + 1) 0.0;
-  (* The new slack's value under the current solution; the row op over
-     the old basic columns is staged directly ([op_emit], Eta mode) or
-     loaded into the row-spike accumulator (LU mode). *)
-  (match core.mode with Lu -> core.hp_n <- 0 | Eta -> ());
+  (* The new slack's value under the current solution; the row's
+     coefficients on the old basic columns load the row-spike
+     accumulator. *)
+  core.hp_n <- 0;
   let v = ref c.rhs in
   for k = 0 to ncs - 1 do
     let j = iget csi k and a = fget csv k in
@@ -2105,13 +1952,11 @@ let append_row core (c : constr) =
     core.clen.(j) <- core.clen.(j) + 1;
     v := !v -. (a *. value_of core j);
     let p = core.bpos.(j) in
-    if p >= 0 then
-      match core.mode with
-      | Eta -> op_emit core p a
-      | Lu ->
-          core.rsp.{p} <- a;
-          core.rin.(p) <- true;
-          heap_push core p
+    if p >= 0 then begin
+      core.rsp.{p} <- a;
+      core.rin.(p) <- true;
+      heap_push core p
+    end
   done;
   core.row_ptr.(r + 1) <- core.nnz;
   core.b.{r} <- c.rhs;
@@ -2148,43 +1993,38 @@ let append_row core (c : constr) =
   core.dwc.{sj} <- 1.0;
   core.dwr <- V.F.grow core.dwr core.nrows 0.0;
   core.dwr.{r} <- 1.0;
-  (match core.mode with
-  | Eta ->
-      if core.e_n > core.op_start.(core.n_etas) then
-        op_commit core ~col:false ~r ~pr:1.0 ~rev:false
-  | Lu ->
-      (* The appended unit slack column is untouched by the op file, so
-         U gains a unit last column and one new row — the constraint's
-         coefficients on the old basic columns, by slot (slot = basic
-         row = the positions loaded into [rsp] above). Eliminate that
-         row spike exactly like a Forrest–Tomlin update whose spike
-         column is e_r: the new diagonal is exactly 1.0. *)
-      core.udiag <- V.F.grow core.udiag core.nrows 0.0;
-      core.ur_idx <- grow_any core.ur_idx core.nrows empty_iv;
-      core.ur_val <- grow_any core.ur_val core.nrows empty_fv;
-      core.ur_len <- grow_i core.ur_len core.nrows 0;
-      core.uc_idx <- grow_any core.uc_idx core.nrows empty_iv;
-      core.uc_val <- grow_any core.uc_val core.nrows empty_fv;
-      core.uc_len <- grow_i core.uc_len core.nrows 0;
-      core.rf_idx <- grow_any core.rf_idx core.nrows empty_iv;
-      core.rf_val <- grow_any core.rf_val core.nrows empty_fv;
-      core.rf_rows <- grow_any core.rf_rows core.nrows empty_iv;
-      core.row_of_pos <- grow_i core.row_of_pos core.nrows 0;
-      core.pos_of_row <- grow_i core.pos_of_row core.nrows 0;
-      core.slot_of_pos <- grow_i core.slot_of_pos core.nrows 0;
-      core.pos_of_slot <- grow_i core.pos_of_slot core.nrows 0;
-      core.ur_idx.(r) <- empty_iv;
-      core.ur_val.(r) <- empty_fv;
-      core.ur_len.(r) <- 0;
-      core.uc_idx.(r) <- empty_iv;
-      core.uc_val.(r) <- empty_fv;
-      core.uc_len.(r) <- 0;
-      core.row_of_pos.(r) <- r;
-      core.pos_of_row.(r) <- r;
-      core.slot_of_pos.(r) <- r;
-      core.pos_of_slot.(r) <- r;
-      core.udiag.{r} <- eliminate_row_spike core r 1.0 core.spike false;
-      Obs.set g_fill (float_of_int (core.u_nnz + core.nrows + core.eta_nnz)));
+  (* The appended unit slack column is untouched by the op file, so U
+     gains a unit last column and one new row — the constraint's
+     coefficients on the old basic columns, by slot (slot = basic row =
+     the positions loaded into [rsp] above). Eliminate that row spike
+     exactly like a Forrest–Tomlin update whose spike column is e_r: the
+     new diagonal is exactly 1.0. *)
+  core.udiag <- V.F.grow core.udiag core.nrows 0.0;
+  core.ur_idx <- grow_any core.ur_idx core.nrows empty_iv;
+  core.ur_val <- grow_any core.ur_val core.nrows empty_fv;
+  core.ur_len <- grow_i core.ur_len core.nrows 0;
+  core.uc_idx <- grow_any core.uc_idx core.nrows empty_iv;
+  core.uc_val <- grow_any core.uc_val core.nrows empty_fv;
+  core.uc_len <- grow_i core.uc_len core.nrows 0;
+  core.rf_idx <- grow_any core.rf_idx core.nrows empty_iv;
+  core.rf_val <- grow_any core.rf_val core.nrows empty_fv;
+  core.rf_rows <- grow_any core.rf_rows core.nrows empty_iv;
+  core.row_of_pos <- grow_i core.row_of_pos core.nrows 0;
+  core.pos_of_row <- grow_i core.pos_of_row core.nrows 0;
+  core.slot_of_pos <- grow_i core.slot_of_pos core.nrows 0;
+  core.pos_of_slot <- grow_i core.pos_of_slot core.nrows 0;
+  core.ur_idx.(r) <- empty_iv;
+  core.ur_val.(r) <- empty_fv;
+  core.ur_len.(r) <- 0;
+  core.uc_idx.(r) <- empty_iv;
+  core.uc_val.(r) <- empty_fv;
+  core.uc_len.(r) <- 0;
+  core.row_of_pos.(r) <- r;
+  core.pos_of_row.(r) <- r;
+  core.slot_of_pos.(r) <- r;
+  core.pos_of_slot.(r) <- r;
+  core.udiag.{r} <- eliminate_row_spike core r 1.0 core.spike false;
+  Obs.set g_fill (float_of_int (core.u_nnz + core.nrows + core.eta_nnz));
   !v >= slo -. feas_tol && !v <= sup +. feas_tol
 
 (* ------------------------------------------------------------------ *)
@@ -2214,15 +2054,10 @@ let updates st =
   st.base_updates + match st.core with Some c -> c.n_updates | None -> 0
 
 (* Basis-representation nonzeros right now: U (off-diagonals plus the
-   diagonal) plus the op file in LU mode, the op file alone in eta
-   mode. 0 once the state has delegated to the dense kernel. *)
+   diagonal) plus the op file. 0 once the state has delegated to the
+   dense kernel. *)
 let fill_nnz st =
-  match st.core with
-  | Some c -> (
-      match c.mode with
-      | Lu -> c.u_nnz + c.nrows + c.eta_nnz
-      | Eta -> c.eta_nnz)
-  | None -> 0
+  match st.core with Some c -> c.u_nnz + c.nrows + c.eta_nnz | None -> 0
 
 (* Delegation to the dense kernel: the structural problem types are
    field-for-field identical, only nominally distinct. *)

@@ -8,41 +8,22 @@
     plus an explicit row per upper bound) and pivots a dense tableau, this
     kernel keeps the bounds implicit — nonbasic variables rest at either
     bound — and represents the basis inverse as a Markowitz-ordered sparse
-    LU factorization maintained by Forrest–Tomlin updates (default; a
-    product-form eta file survives as the selectable legacy engine) over
-    CSR/CSC constraint storage, so a pivot costs O(nnz) instead of
-    O(rows * cols). Pricing is reference-framework Devex by default, with
-    the original rotating partial pricing selectable via {!set_pricing}.
-    See DESIGN.md §8 for the shared data layout and §11 for the LU
-    factorization, the update-file growth policy, and Devex resets.
+    LU factorization maintained by Forrest–Tomlin updates over CSR/CSC
+    constraint storage, so a pivot costs O(nnz) instead of
+    O(rows * cols). Pricing is reference-framework Devex on both the
+    primal and the dual side. See DESIGN.md §8 for the data layout and
+    §11 for the LU factorization, the update-file growth policy, and
+    Devex resets.
 
     The warm-start contract of {!Lp_intf.BACKEND} is genuinely
     incremental: [add_constraint] appends the row (its fresh slack basic),
-    extends the eta file with one row-eta, and re-optimizes by dual
+    extends the LU factors by one row op, and re-optimizes by dual
     simplex from the previous optimal basis. Numerical trouble (stalls,
     singular refactorization) falls back to a cold rebuild and, as a last
     resort, to the dense {!Simplex_float} kernel — the answer is always
     delivered, only the pivot count changes. The exact-rational functor
     simplex remains the correctness oracle; property tests cross-validate
     every verdict of this kernel against it and against the dense one. *)
-
-(** Basis-inverse representation. [Lu] (the default) is the sparse LU
-    factorization with Forrest–Tomlin updates; [Eta] is the legacy
-    product-form eta file, kept selectable so benches and differential
-    tests can compare the engines on identical instances. *)
-type basis_kind = Lu | Eta
-
-(** Process-wide engine selection, snapshotted per solver state at
-    creation — an in-flight solve never changes representation. *)
-val set_basis_kind : basis_kind -> unit
-
-val basis_kind : unit -> basis_kind
-
-(** Process-wide pricing-rule selection ({!Lp_intf.pricing}; default
-    [Devex]), snapshotted per solver state at creation. *)
-val set_pricing : Lp_intf.pricing -> unit
-
-val pricing : unit -> Lp_intf.pricing
 
 type num = float
 type relation = Leq | Geq | Eq
@@ -91,13 +72,13 @@ val nonneg : int -> float option array * float option array
 val solve : problem -> outcome
 
 (** Opaque warm-startable solver state: CSR/CSC constraint storage, the
-    basis, and the eta file. *)
+    basis, and its LU factors. *)
 type state
 
 val solve_incremental : problem -> state * outcome
 
 (** Append one constraint and re-optimize dual-feasibly from the previous
-    basis (one row-eta plus a short dual-simplex run). Falls back to a
+    basis (one row op plus a short dual-simplex run). Falls back to a
     cold rebuild if the previous outcome was [Unbounded] or the dual pass
     stalls; once [Infeasible], stays [Infeasible]. *)
 val add_constraint : state -> constr -> outcome
@@ -124,12 +105,12 @@ val basis_hint : state -> int list
     process-wide under the [lp.sparse.refactors] Obs counter). *)
 val refactors : state -> int
 
-(** Forrest–Tomlin updates applied since the last refactorization ([Lu]
-    states; always 0 for [Eta] states) — the live update-file length. *)
+(** Forrest–Tomlin updates applied to this state's bases so far (one per
+    accepted basis update, across refactorizations and cold rebuilds). *)
 val updates : state -> int
 
 (** Current basis-representation nonzeros: U off-diagonals + diagonal +
-    op-file entries for [Lu] states, eta-file entries for [Eta] states.
+    op-file entries; 0 once the state has delegated to the dense kernel.
     The fill-in figure the benches chart. *)
 val fill_nnz : state -> int
 

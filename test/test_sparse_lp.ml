@@ -63,18 +63,6 @@ let prop ?(count = 100) name f =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name (QCheck2.Gen.int_range 0 1_000_000) f)
 
-(* Run [f] under a specific basis engine / pricing rule, restoring the
-   process-wide default afterwards (tests in this suite run sequentially). *)
-let with_engine kind f =
-  let old = SP.basis_kind () in
-  SP.set_basis_kind kind;
-  Fun.protect ~finally:(fun () -> SP.set_basis_kind old) f
-
-let with_pricing pr f =
-  let old = SP.pricing () in
-  SP.set_pricing pr;
-  Fun.protect ~finally:(fun () -> SP.set_pricing old) f
-
 let outcomes_agree a b =
   match (a, b) with
   | SP.Optimal x, SP.Optimal y -> Fx.approx_eq ~eps:1e-6 x.SP.objective y.SP.objective
@@ -187,12 +175,11 @@ let unit_tests =
         let st, _ = SP.solve_incremental p in
         expect_invalid "warm cut NaN" (fun () ->
             SP.add_constraint st (sp_geq [ (0, Float.nan) ] 0.0)));
-    Alcotest.test_case "sparse: eta refactorization fires on long cut streams" `Quick
+    Alcotest.test_case "sparse: long warm cut stream matches a dense cold solve" `Quick
       (fun () ->
-        with_engine SP.Eta @@ fun () ->
-        (* Append enough cuts that the eta file must be rebuilt at least
-           once; the answers stay exact throughout. min sum x_i, box
-           [0,10]^n, cuts x_i + x_j >= k force the objective up. *)
+        (* Append 80 cuts to one live state; the answer stays exact
+           throughout. min sum x_i, box [0,10]^n, cuts x_i + x_j >= k
+           force the objective up. *)
         let n = 12 in
         let lower = Array.make n (Some 0.0) and upper = Array.make n (Some 10.0) in
         let p =
@@ -232,8 +219,7 @@ let unit_tests =
         in
         (match UF.solve dp with
         | UF.Optimal ds -> Alcotest.check fl "objective" ds.UF.objective s.SP.objective
-        | _ -> Alcotest.fail "dense cold solve failed");
-        Alcotest.(check bool) "refactorized at least once" true (SP.refactors st >= 1));
+        | _ -> Alcotest.fail "dense cold solve failed"));
     Alcotest.test_case "sparse: LU refactorization fires on a forced-pivot ratchet" `Quick
       (fun () ->
         (* Forrest–Tomlin updates accrue one per basis pivot, so force a
@@ -243,7 +229,6 @@ let unit_tests =
            optimum, so each append costs real dual pivots. The update
            file must overflow its cap and trigger at least one
            refactorization, with the answers exact throughout. *)
-        Alcotest.(check bool) "LU is the default engine" true (SP.basis_kind () = SP.Lu);
         let n = 12 in
         let lower = Array.make n (Some 0.0) and upper = Array.make n (Some 10.0) in
         let p =
@@ -447,30 +432,6 @@ let raw_lp_tests =
             Fx.approx_eq ~eps:1e-6 s.SP.objective (Q.to_float r.objective)
         | SP.Infeasible, RS.Infeasible | SP.Unbounded, RS.Unbounded -> true
         | _ -> false);
-    prop "legacy eta engine matches exact rationals" ~count:100 (fun seed ->
-        with_engine SP.Eta (fun () ->
-            let fp, rp = Test_lp.random_lp_pair seed in
-            match (SP.solve (sp_of_fs fp), RS.solve rp) with
-            | SP.Optimal ss, RS.Optimal rs ->
-                Fx.approx_eq ~eps:1e-6 ss.SP.objective (Q.to_float rs.objective)
-            | SP.Infeasible, RS.Infeasible -> true
-            | SP.Unbounded, RS.Unbounded -> true
-            | _ -> false));
-    prop "partial pricing matches Devex on warm cut streams" ~count:100 (fun seed ->
-        let fp, _ = Test_lp.random_lp_pair seed in
-        let sparse = sp_of_fs fp in
-        let cuts =
-          let rng = Prng.create (seed + 555) in
-          Test_lp.random_extra_cuts rng ~n_vars:fp.FS.n_vars
-            ~count:(Prng.int_in_range rng ~lo:1 ~hi:4)
-        in
-        let run () =
-          let st, o0 = SP.solve_incremental sparse in
-          List.fold_left (fun _ c -> SP.add_constraint st (sp_of_uf_constr c)) o0 cuts
-        in
-        let dvx = run () in
-        let prt = with_pricing Repro_lp.Lp_intf.Partial run in
-        outcomes_agree dvx prt);
     prop "patch matches a cold re-solve of the re-bound problem" ~count:100 (fun seed ->
         let fp, _ = Test_lp.random_lp_pair seed in
         let sparse = sp_of_fs fp in

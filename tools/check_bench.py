@@ -33,6 +33,17 @@ class BenchError(Exception):
 # in BENCH_alloc.json), 3.7x over this budget.
 WORDS_PER_PIVOT_BUDGET = 1024.0
 
+# Hard ceilings on the LU engine's own deterministic counts over the lp
+# bench's fixed n=128/256 anti-MST instances (identical in every mode),
+# set at the figures measured on two identical smoke runs with OCaml
+# 5.1. Pivots, refactorizations, cold rebuilds and dense fallbacks are
+# pure functions of the instance and the code, so no runner-noise
+# headroom applies: any increase is a change in the engine.
+LU_COUNT_CEILINGS = {
+    128: {"lu_pivots": 598, "lu_refactors": 8, "lu_rebuilds": 0, "lu_fallbacks": 0},
+    256: {"lu_pivots": 1296, "lu_refactors": 12, "lu_rebuilds": 0, "lu_fallbacks": 0},
+}
+
 
 def need(obj, key, where):
     if key not in obj:
@@ -60,7 +71,7 @@ def check_lp(b):
     check_lp_lu(b, meta)
     summary = need(b, "summary", "lp_bench")
     for key in ("n64_speedup", "warm_pivots_total", "cold_pivots_total",
-                "separation_speedup", "lu_max_n", "lu_speedup_n128"):
+                "separation_speedup", "lu_max_n"):
         need(summary, key, "lp_bench summary")
     if summary["warm_pivots_total"] > summary["cold_pivots_total"]:
         raise BenchError(
@@ -69,49 +80,38 @@ def check_lp(b):
 
 
 def check_lp_lu(b, meta):
-    """The LU-vs-eta block (DESIGN.md section 11, EXPERIMENTS.md schema).
+    """The LU engine block (DESIGN.md section 11, EXPERIMENTS.md schema).
 
-    Hard gates: rows present at the mode's required sizes, LU/eta cost
-    agreement wherever eta ran, strictly fewer LU refactorizations at
-    n >= 256, the n=128 speedup floor (>= 1.0x in full mode;
-    smoke/quick timings on shared runners only have a 0.8x hard floor,
-    with a warning below 1.0x), and the allocs-per-pivot steady-state
-    budget (hard — minor-word counts are deterministic allocation
-    accounting, immune to shared-runner timing noise; see
-    WORDS_PER_PIVOT_BUDGET).
+    Hard gates: rows present at the mode's required sizes, every row's
+    cutting-plane cost agreeing with the independent LP (3) broadcast
+    optimum on the same tree, the LU_COUNT_CEILINGS on pivots,
+    refactorizations, cold rebuilds and dense fallbacks, and the
+    allocs-per-pivot steady-state budget (hard — minor-word counts are
+    deterministic allocation accounting, immune to shared-runner timing
+    noise; see WORDS_PER_PIVOT_BUDGET).
     """
     rows = need(b, "lu", "lp_bench")
     if not rows:
         raise BenchError("lp_bench: empty lu bench block")
-    strict = meta.get("mode") == "full"
     required = {128, 256} if meta.get("mode") != "full" else {128, 256, 512, 1024}
     sizes = set()
     for row in rows:
         for key in ("n", "lu_ms", "lu_pivots", "lu_refactors", "lu_updates",
-                    "lu_fill_nnz", "allocs_per_pivot", "rounds", "cost"):
+                    "lu_fill_nnz", "allocs_per_pivot", "lu_rebuilds",
+                    "lu_fallbacks", "rounds", "cost", "lp3_cost"):
             need(row, key, "lp_bench lu row")
         n = row["n"]
         sizes.add(n)
-        if "eta_ms" in row:
-            if row.get("agree") is not True:
-                raise BenchError(f"lp_bench: LU/eta disagree at n={n}: {row}")
-            if n >= 256 and row["lu_refactors"] >= row["eta_refactors"]:
+        cost, lp3 = row["cost"], row["lp3_cost"]
+        if row.get("agree") is not True or abs(cost - lp3) > 1e-6 * max(1.0, abs(lp3)):
+            raise BenchError(
+                f"lp_bench: LU cutting plane cost {cost} disagrees with the "
+                f"LP (3) optimum {lp3} at n={n}: {row}")
+        for key, ceiling in LU_COUNT_CEILINGS.get(n, {}).items():
+            if row[key] > ceiling:
                 raise BenchError(
-                    f"lp_bench: LU refactorized {row['lu_refactors']}x at n={n}, "
-                    f"not strictly fewer than eta's {row['eta_refactors']}x")
-            if n == 128:
-                speedup = need(row, "speedup_vs_eta", "lp_bench lu row")
-                floor = 1.0 if strict else 0.8
-                if speedup < floor:
-                    raise BenchError(
-                        f"lp_bench: LU {speedup:.2f}x vs eta at n=128 below the "
-                        f"{floor}x hard floor")
-                if not strict and speedup < 1.0:
-                    print("check_bench: WARNING: LU only "
-                          f"{speedup:.2f}x vs eta at n=128 "
-                          f"({meta.get('mode')} timing)", file=sys.stderr)
-        elif n <= 256:
-            raise BenchError(f"lp_bench: lu row n={n} lacks its eta comparison")
+                    f"lp_bench: {key} {row[key]} at n={n} exceeds the "
+                    f"hard ceiling {ceiling}")
         if row["allocs_per_pivot"] > WORDS_PER_PIVOT_BUDGET:
             raise BenchError(
                 f"lp_bench: lp.sparse.allocs_per_pivot "
