@@ -60,6 +60,9 @@ struct
   let c_sep_oracle = Obs.counter "sne.separate.oracle_calls"
   let c_sep_parallel = Obs.counter "sne.separate.parallel_batches"
   let c_sep_dedup = Obs.counter "sne.separate.cuts_deduped"
+  let c_sep_pruned = Obs.counter "sne.separate.pruned"
+  let c_sep_settled = Obs.counter "sne.separate.settled"
+
 
   (* Amortized GC minor words per completed cut round (clamp + separation
      sweep + master re-solve), the separation-path sibling of
@@ -100,6 +103,28 @@ struct
         Obs.incr c_sep_parallel;
         Repro_parallel.Parallel.Pool.map p oracle (Array.init n_players Fun.id)
     | _ -> Array.init n_players oracle
+
+  (* One separation round over a bounded oracle ([Some (cost, path)]
+     exactly for the improving players): the oracles fan out, then the
+     cuts are built serially in player order, so the cut list does not
+     depend on the pool. The search counters are read once per oracle
+     call off that domain's Dijkstra scratch, never per node; [None]
+     means the current-cost bound stopped the search. *)
+  let separate ?pool ~n_players ~cut oracle =
+    let responses =
+      oracle_sweep ?pool ~n_players (fun i ->
+          let r = oracle i in
+          if Obs.enabled () then begin
+            Obs.add c_sep_settled (G.last_settled ());
+            if Option.is_none r then Obs.incr c_sep_pruned
+          end;
+          r)
+    in
+    let cuts = ref [] in
+    for i = n_players - 1 downto 0 do
+      match responses.(i) with Some (_, path) -> cuts := cut i path :: !cuts | None -> ()
+    done;
+    !cuts
 
   (* Within-round cut dedup, keyed on the mathematical content (sorted
      coefficients, relation, rhs) and not the label: symmetric deviations
@@ -411,7 +436,7 @@ struct
        (w-b) d_i/(D_a + d_i - [i uses a] d_i). *)
     let path_constraint i path =
       let di = wspec.W.demand.(i) in
-      let mine = Gm.player_edges wspec.W.base state i in
+      let mine = Gm.own_mask wspec.W.base state i in
       let coeffs = Hashtbl.create 8 in
       let rhs = ref F.zero in
       let touch ~side id denom =
@@ -428,7 +453,7 @@ struct
       List.iter (fun id -> touch ~side:`Current id du_all.(id)) state.(i);
       List.iter
         (fun id ->
-          let others = if mine.(id) then F.sub du_all.(id) di else du_all.(id) in
+          let others = if Bytes.get mine id <> '\000' then F.sub du_all.(id) di else du_all.(id) in
           touch ~side:`Deviation id (F.add others di))
         path;
       {
@@ -439,22 +464,9 @@ struct
       }
     in
     let find_cuts ~subsidy =
-      (* The Dijkstra oracles fan out (read-only on the graph/state); the
-         constraints are then built serially in player order, so the cut
-         list is identical to the old sequential loop's. *)
-      let responses =
-        oracle_sweep ?pool ~n_players:(W.n_players wspec) (fun i ->
-            let current = W.player_cost ~subsidy wspec state i in
-            let cost, path = W.best_response ~subsidy wspec state i in
-            if F.lt cost current then Some path else None)
-      in
-      let cuts = ref [] in
-      for i = Array.length responses - 1 downto 0 do
-        match responses.(i) with
-        | Some path -> cuts := path_constraint i path :: !cuts
-        | None -> ()
-      done;
-      !cuts
+      let prices = W.sweep_prices ~subsidy wspec ~du:du_all in
+      separate ?pool ~n_players:(W.n_players wspec) ~cut:path_constraint
+        (W.improving_response prices wspec state)
     in
     cutting_core ~what:"Sne_lp.weighted_cutting_plane" ~warm ~max_rounds ~poll
       ~on_round ~graph
@@ -489,10 +501,10 @@ struct
     done;
     let constraints = ref [] in
     for i = 0 to np - 1 do
-      let mine = Gm.player_edges spec state i in
+      let mine = Gm.own_mask spec state i in
       (* Edge relaxations: pi_i(y) <= pi_i(x) + (w - b)/d, both directions. *)
       G.fold_edges graph ~init:() ~f:(fun () e ->
-          let d = F.of_int (usage.(e.G.id) + 1 - if mine.(e.G.id) then 1 else 0) in
+          let d = F.of_int (usage.(e.G.id) + 1 - if Bytes.get mine e.G.id <> '\000' then 1 else 0) in
           let w_over_d = F.div e.G.weight d in
           let b_coeff = F.div F.one d in
           let relax x y =
@@ -556,7 +568,7 @@ struct
       coefficients are recomputed this way. *)
   let lp1_path_constraint spec ~(state : Gm.state) ~(usage : int array) i path =
     let graph = spec.Gm.graph in
-    let mine = Gm.player_edges spec state i in
+    let mine = Gm.own_mask spec state i in
     let coeffs = Hashtbl.create 8 in
     let rhs = ref F.zero in
     let touch ~side id d =
@@ -574,7 +586,8 @@ struct
     in
     List.iter (fun id -> touch ~side:`Current id usage.(id)) state.(i);
     List.iter
-      (fun id -> touch ~side:`Deviation id (usage.(id) + 1 - if mine.(id) then 1 else 0))
+      (fun id ->
+        touch ~side:`Deviation id (usage.(id) + 1 - if Bytes.get mine id <> '\000' then 1 else 0))
       path;
     {
       Lp.coeffs = Hashtbl.fold (fun k c acc -> (k, c) :: acc) coeffs [];
@@ -585,8 +598,9 @@ struct
 
   (** Solve the exponential LP (1) by cutting planes: start with only the
       box constraints, and repeatedly add the constraint of each player's
-      cheapest deviating path (found by [Gm.best_response], which is exactly
-      the paper's H_i shortest-path oracle) until none is violated. Each
+      cheapest deviating path (found by [Gm.improving_response], the
+      paper's H_i shortest-path oracle stopped at the target or at the
+      player's current cost) until none is violated. Each
       master re-solve warm-starts from the previous optimal basis
       ([warm = false] forces the old cold restarts, kept for the
       pivot-budget benchmarks and the warm-vs-cold property tests). *)
@@ -596,19 +610,9 @@ struct
     let usage = Gm.usage spec state in
     let path_constraint i path = lp1_path_constraint spec ~state ~usage i path in
     let find_cuts ~subsidy =
-      let responses =
-        oracle_sweep ?pool ~n_players:(Gm.n_players spec) (fun i ->
-            let current = Gm.player_cost ~subsidy ~usage spec state i in
-            let cost, path = Gm.best_response ~subsidy ~usage spec state i in
-            if F.lt cost current then Some path else None)
-      in
-      let cuts = ref [] in
-      for i = Array.length responses - 1 downto 0 do
-        match responses.(i) with
-        | Some path -> cuts := path_constraint i path :: !cuts
-        | None -> ()
-      done;
-      !cuts
+      let prices = Gm.sweep_prices ~subsidy spec ~usage in
+      separate ?pool ~n_players:(Gm.n_players spec) ~cut:path_constraint
+        (Gm.improving_response prices spec state)
     in
     cutting_core ~what:"Sne_lp.cutting_plane" ~warm ~max_rounds ~poll ~on_round
       ~graph (box_master graph) ~find_cuts

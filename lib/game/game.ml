@@ -91,11 +91,28 @@ module Make (F : Repro_field.Field.S) = struct
     Array.iter (List.iter (fun id -> u.(id) <- u.(id) + 1)) state;
     u
 
-  (** Membership mask of player [i]'s strategy: n^i_a(T). *)
-  let player_edges spec state i =
-    let m = Array.make (G.n_edges spec.graph) false in
-    List.iter (fun id -> m.(id) <- true) state.(i);
-    m
+  (* Per-domain own-path mask: player i's edges marked in a byte mask
+     that is reused across calls. Each call first clears the previous
+     call's marks, so an exception between calls leaves nothing stale. *)
+  type own_scratch = { mutable bits : Bytes.t; mutable marked : int list }
+
+  let own_key = Domain.DLS.new_key (fun () -> { bits = Bytes.empty; marked = [] })
+
+  (** Membership mask of player [i]'s strategy, n^i_a(T), as bytes over
+      edge ids (['\001'] = used). The buffer is this domain's scratch,
+      valid until the next call on this domain, so the per-player
+      oracles allocate nothing O(m). *)
+  let own_mask spec state i =
+    let k = Domain.DLS.get own_key in
+    let m = G.n_edges spec.graph in
+    if Bytes.length k.bits < m then k.bits <- Bytes.make (max m (2 * Bytes.length k.bits)) '\000'
+    else
+      List.iter
+        (fun id -> if id >= 0 && id < Bytes.length k.bits then Bytes.unsafe_set k.bits id '\000')
+        k.marked;
+    k.marked <- state.(i);
+    List.iter (fun id -> Bytes.set k.bits id '\001') state.(i);
+    k.bits
 
   let no_subsidy spec = Array.make (G.n_edges spec.graph) F.zero
 
@@ -145,9 +162,9 @@ module Make (F : Repro_field.Field.S) = struct
   let best_response ?subsidy ?usage:u_opt spec state i =
     let b = match subsidy with Some b -> b | None -> no_subsidy spec in
     let u = match u_opt with Some u -> u | None -> usage spec state in
-    let mine = player_edges spec state i in
+    let mine = own_mask spec state i in
     let weight_fn (e : G.edge) =
-      let sharers = u.(e.id) + 1 - if mine.(e.id) then 1 else 0 in
+      let sharers = u.(e.id) + 1 - if Bytes.get mine e.id <> '\000' then 1 else 0 in
       F.div (net_weight spec b e.id) (F.of_int sharers)
     in
     let s, t = spec.pairs.(i) in
@@ -155,20 +172,61 @@ module Make (F : Repro_field.Field.S) = struct
     | None -> invalid_arg "Game.best_response: graph disconnects a player"
     | Some (cost, path) -> (cost, path)
 
+  (** One separation sweep's edge prices, shared by every player:
+      [shared.(a)] = (w_a - b_a)/(n_a(T) + 1), what a newcomer pays, and
+      [own.(a)] = (w_a - b_a)/n_a(T), what a current user pays (zero on
+      unused edges). The field operations are exactly [best_response]'s
+      and [player_cost]'s, so every sum built from them is identical. *)
+  type prices = { shared : F.t array; own : F.t array }
+
+  let sweep_prices ?subsidy spec ~usage:u =
+    let b = match subsidy with Some b -> b | None -> no_subsidy spec in
+    let m = G.n_edges spec.graph in
+    let shared = Array.make m F.zero and own = Array.make m F.zero in
+    for id = 0 to m - 1 do
+      let w = net_weight spec b id in
+      shared.(id) <- F.div w (F.of_int (u.(id) + 1));
+      if u.(id) > 0 then own.(id) <- F.div w (F.of_int u.(id))
+    done;
+    { shared; own }
+
+  (** [Some (cost, path)] exactly when player [i]'s best response is
+      strictly cheaper than her current cost ([F.lt]), with the cost
+      and path [best_response] returns. The search is bounded by the
+      current cost, so a player with no improving move is dismissed as
+      soon as the Dijkstra frontier reaches it. Raises
+      [Invalid_argument] when the search exhausts [s_i]'s component
+      without settling [t_i]. *)
+  let improving_response p spec state i =
+    let current = List.fold_left (fun acc id -> F.add acc p.own.(id)) F.zero state.(i) in
+    let mine = own_mask spec state i in
+    let shared = p.shared and own = p.own in
+    let weight_fn (e : G.edge) =
+      let id = e.G.id in
+      if Bytes.unsafe_get mine id <> '\000' then Array.unsafe_get own id
+      else Array.unsafe_get shared id
+    in
+    let s, t = spec.pairs.(i) in
+    match G.shortest_path_bounded ~weight_fn spec.graph ~src:s ~dst:t ~limit:current with
+    | G.Reached (cost, path) -> Some (cost, path)
+    | G.Pruned -> None
+    | G.Unreachable -> invalid_arg "Game.improving_response: graph disconnects a player"
+
   (** The most profitable unilateral deviation, if any: player index,
       current cost, deviation cost, deviation path. *)
   let worst_violation ?subsidy spec state =
     let best = ref None in
     let u = usage spec state in
+    let p = sweep_prices ?subsidy spec ~usage:u in
     for i = 0 to n_players spec - 1 do
-      let current = player_cost ?subsidy ~usage:u spec state i in
-      let cost, path = best_response ?subsidy ~usage:u spec state i in
-      if F.lt cost current then begin
-        let gain = F.sub current cost in
-        match !best with
-        | Some (_, _, _, _, g) when F.leq gain g -> ()
-        | _ -> best := Some (i, current, cost, path, gain)
-      end
+      match improving_response p spec state i with
+      | None -> ()
+      | Some (cost, path) -> (
+          let current = player_cost ?subsidy ~usage:u spec state i in
+          let gain = F.sub current cost in
+          match !best with
+          | Some (_, _, _, _, g) when F.leq gain g -> ()
+          | _ -> best := Some (i, current, cost, path, gain))
     done;
     Option.map (fun (i, cur, cost, path, _) -> (i, cur, cost, path)) !best
 
@@ -223,6 +281,24 @@ module Make (F : Repro_field.Field.S) = struct
       converged : bool;
     }
 
+    (* One round-robin pass: every player in turn takes her best response
+       when it is strictly cheaper. A move changes the usage, so the
+       prices are rebuilt after each one and every player is priced
+       against the state as it stands when her turn comes. *)
+    let improving_pass ?subsidy spec state moves =
+      let price () = sweep_prices ?subsidy spec ~usage:(usage spec state) in
+      let p = ref (price ()) and changed = ref false in
+      for i = 0 to n_players spec - 1 do
+        match improving_response !p spec state i with
+        | None -> ()
+        | Some (_, path) ->
+            state.(i) <- path;
+            incr moves;
+            changed := true;
+            p := price ()
+      done;
+      !changed
+
     (** Like {!best_response_dynamics}, also recording the Rosenthal
         potential after each round — the decreasing sequence whose
         existence (Rosenthal, via Anshelevich et al.) is why the dynamics
@@ -235,17 +311,8 @@ module Make (F : Repro_field.Field.S) = struct
         if round >= max_rounds then
           ({ state; rounds = round; moves = !moves; converged = false }, List.rev !potentials)
         else begin
-          let changed = ref false in
-          for i = 0 to n_players spec - 1 do
-            let current = player_cost ?subsidy spec state i in
-            let cost, path = best_response ?subsidy spec state i in
-            if F.lt cost current then begin
-              state.(i) <- path;
-              incr moves;
-              changed := true
-            end
-          done;
-          if !changed then begin
+          let changed = improving_pass ?subsidy spec state moves in
+          if changed then begin
             potentials := potential ?subsidy spec state :: !potentials;
             run (round + 1)
           end
@@ -264,17 +331,8 @@ module Make (F : Repro_field.Field.S) = struct
       let rec run round =
         if round >= max_rounds then { state; rounds = round; moves = !moves; converged = false }
         else begin
-          let changed = ref false in
-          for i = 0 to n_players spec - 1 do
-            let current = player_cost ?subsidy spec state i in
-            let cost, path = best_response ?subsidy spec state i in
-            if F.lt cost current then begin
-              state.(i) <- path;
-              incr moves;
-              changed := true
-            end
-          done;
-          if !changed then run (round + 1)
+          let changed = improving_pass ?subsidy spec state moves in
+          if changed then run (round + 1)
           else { state; rounds = round; moves = !moves; converged = true }
         end
       in

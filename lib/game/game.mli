@@ -41,8 +41,10 @@ module Make (F : Repro_field.Field.S) : sig
   (** n_a(T): users per edge. *)
   val usage : spec -> state -> int array
 
-  (** n^i_a(T) as a membership mask over edge ids. *)
-  val player_edges : spec -> state -> int -> bool array
+  (** n^i_a(T) as a byte mask over edge ids (['\001'] = used), built in
+      a reusable per-domain buffer: valid until the next call on the
+      same domain. *)
+  val own_mask : spec -> state -> int -> Bytes.t
 
   val no_subsidy : spec -> F.t array
 
@@ -68,6 +70,23 @@ module Make (F : Repro_field.Field.S) : sig
       as in {!player_cost}. *)
   val best_response :
     ?subsidy:F.t array -> ?usage:int array -> spec -> state -> int -> F.t * int list
+
+  (** Edge prices of one separation sweep, shared by all players:
+      [shared.(a)] = (w_a - b_a)/(n_a(T) + 1) and [own.(a)] =
+      (w_a - b_a)/n_a(T) (zero where n_a(T) = 0), computed with the same
+      field operations as {!best_response} and {!player_cost}. *)
+  type prices = { shared : F.t array; own : F.t array }
+
+  (** [usage] must be [usage spec state]. *)
+  val sweep_prices : ?subsidy:F.t array -> spec -> usage:int array -> prices
+
+  (** [Some (cost, path)] exactly when player [i]'s best response is
+      strictly cheaper than her current cost ([F.lt]); cost and path are
+      then those of {!best_response}. The Dijkstra stops at [t_i] or as
+      soon as the settled key reaches her current cost, whichever comes
+      first. Raises [Invalid_argument] when it exhausts [s_i]'s component
+      without settling [t_i]. *)
+  val improving_response : prices -> spec -> state -> int -> (F.t * int list) option
 
   (** Most profitable unilateral deviation, if any:
       (player, current cost, deviation cost, deviation path). *)

@@ -64,10 +64,10 @@ module Make (F : Repro_field.Field.S) = struct
   let best_response ?subsidy t state i =
     let b = match subsidy with Some b -> b | None -> no_subsidy t in
     let du = demand_usage t state in
-    let mine = Base.player_edges t.base state i in
+    let mine = Base.own_mask t.base state i in
     let di = t.demand.(i) in
     let weight_fn (e : G.edge) =
-      let others = if mine.(e.G.id) then F.sub du.(e.G.id) di else du.(e.G.id) in
+      let others = if Bytes.get mine e.G.id <> '\000' then F.sub du.(e.G.id) di else du.(e.G.id) in
       F.div (F.mul (net_weight t b e.G.id) di) (F.add others di)
     in
     let s, dst = t.base.Base.pairs.(i) in
@@ -75,17 +75,49 @@ module Make (F : Repro_field.Field.S) = struct
     | None -> invalid_arg "Weighted.best_response: graph disconnects a player"
     | Some (cost, path) -> (cost, path)
 
+  (** One separation sweep's shared inputs: net weights (w_a - b_a) and
+      demand usage D_a(T). Edge prices depend on the deviating player's
+      demand, so [improving_response] finishes them per player, with the
+      field operations [best_response] uses. *)
+  type prices = { net : F.t array; du : F.t array }
+
+  let sweep_prices ?subsidy t ~du =
+    let b = match subsidy with Some b -> b | None -> no_subsidy t in
+    { net = Array.init (G.n_edges (graph t)) (net_weight t b); du }
+
+  (** [Some (cost, path)] exactly when player [i]'s best response is
+      strictly cheaper than her current cost, with [best_response]'s cost
+      and path; the search is bounded by the current cost. Raises
+      [Invalid_argument] on a player it cannot connect. *)
+  let improving_response p t state i =
+    let di = t.demand.(i) and net = p.net and du = p.du in
+    let current =
+      List.fold_left (fun acc id -> F.add acc (F.div (F.mul net.(id) di) du.(id))) F.zero state.(i)
+    in
+    let mine = Base.own_mask t.base state i in
+    let weight_fn (e : G.edge) =
+      let id = e.G.id in
+      let others = if Bytes.unsafe_get mine id <> '\000' then F.sub du.(id) di else du.(id) in
+      F.div (F.mul net.(id) di) (F.add others di)
+    in
+    let s, dst = t.base.Base.pairs.(i) in
+    match G.shortest_path_bounded ~weight_fn (graph t) ~src:s ~dst ~limit:current with
+    | G.Reached (cost, path) -> Some (cost, path)
+    | G.Pruned -> None
+    | G.Unreachable -> invalid_arg "Weighted.improving_response: graph disconnects a player"
+
   let worst_violation ?subsidy t state =
     let best = ref None in
+    let p = sweep_prices ?subsidy t ~du:(demand_usage t state) in
     for i = 0 to n_players t - 1 do
-      let current = player_cost ?subsidy t state i in
-      let cost, path = best_response ?subsidy t state i in
-      if F.lt cost current then begin
-        let gain = F.sub current cost in
-        match !best with
-        | Some (_, _, _, _, g) when F.leq gain g -> ()
-        | _ -> best := Some (i, current, cost, path, gain)
-      end
+      match improving_response p t state i with
+      | None -> ()
+      | Some (cost, path) -> (
+          let current = player_cost ?subsidy t state i in
+          let gain = F.sub current cost in
+          match !best with
+          | Some (_, _, _, _, g) when F.leq gain g -> ()
+          | _ -> best := Some (i, current, cost, path, gain))
     done;
     Option.map (fun (i, cur, cost, path, _) -> (i, cur, cost, path)) !best
 
@@ -93,23 +125,24 @@ module Make (F : Repro_field.Field.S) = struct
 
   (** Round-robin best-response dynamics. Weighted games have no potential,
       so non-convergence within [max_rounds] is a real outcome, reported via
-      [converged = false]. *)
+      [converged = false]. The prices are rebuilt after every move. *)
   let best_response_dynamics ?subsidy ?(max_rounds = 200) t start =
     let state = Array.copy start in
     let moves = ref 0 in
+    let price () = sweep_prices ?subsidy t ~du:(demand_usage t state) in
     let rec run round =
       if round >= max_rounds then
         { Base.Dynamics.state; rounds = round; moves = !moves; converged = false }
       else begin
-        let changed = ref false in
+        let p = ref (price ()) and changed = ref false in
         for i = 0 to n_players t - 1 do
-          let current = player_cost ?subsidy t state i in
-          let cost, path = best_response ?subsidy t state i in
-          if F.lt cost current then begin
-            state.(i) <- path;
-            incr moves;
-            changed := true
-          end
+          match improving_response !p t state i with
+          | None -> ()
+          | Some (_, path) ->
+              state.(i) <- path;
+              incr moves;
+              changed := true;
+              p := price ()
         done;
         if !changed then run (round + 1)
         else { Base.Dynamics.state; rounds = round; moves = !moves; converged = true }

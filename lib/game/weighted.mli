@@ -37,6 +37,19 @@ module Make (F : Repro_field.Field.S) : sig
       (w_a - b_a) d_i / (D_a - n^i_a d_i + d_i). *)
   val best_response : ?subsidy:F.t array -> spec -> Base.state -> int -> F.t * int list
 
+  (** One sweep's shared inputs: net weights w_a - b_a and the demand
+      usage [du] (which must be [demand_usage spec state]). *)
+  type prices = { net : F.t array; du : F.t array }
+
+  val sweep_prices : ?subsidy:F.t array -> spec -> du:F.t array -> prices
+
+  (** [Some (cost, path)] exactly when player [i]'s best response is
+      strictly cheaper than her current cost ([F.lt]), with
+      {!best_response}'s cost and path; the Dijkstra stops at her target
+      or at her current cost. Raises [Invalid_argument] when it exhausts
+      her source's component without settling the target. *)
+  val improving_response : prices -> spec -> Base.state -> int -> (F.t * int list) option
+
   val worst_violation :
     ?subsidy:F.t array -> spec -> Base.state -> (int * F.t * F.t * int list) option
 

@@ -171,6 +171,7 @@ module Make (F : Repro_field.Field.S) = struct
     mutable pred : int array;
     mutable touched : int array;
     mutable n_touched : int;
+    mutable settled : int; (* nodes settled by the last search *)
     mutable grows : int; (* scratch reallocations, for the reuse tests *)
   }
 
@@ -185,6 +186,7 @@ module Make (F : Repro_field.Field.S) = struct
           pred = [||];
           touched = [||];
           n_touched = 0;
+          settled = 0;
           grows = 0;
         })
 
@@ -216,6 +218,7 @@ module Make (F : Repro_field.Field.S) = struct
     h.n_touched <- h.n_touched + 1
 
   let dijkstra_scratch_grows () = (Domain.DLS.get heap_key).grows
+  let last_settled () = (Domain.DLS.get heap_key).settled
 
   let heap_less h i j =
     let c = F.compare h.keys.(i) h.keys.(j) in
@@ -262,6 +265,9 @@ module Make (F : Repro_field.Field.S) = struct
       end
     end
 
+  (* How a [search] ended. *)
+  type stop = Exhausted | Settled_dst | Hit_limit
+
   (** Dijkstra from [src]. [weight_fn] lets callers reinterpret weights
       (this is how best responses price deviations, and how the LP (1)
       separation oracle builds the graph H_i); it must be non-negative.
@@ -269,18 +275,26 @@ module Make (F : Repro_field.Field.S) = struct
       already beaten by the recorded distance is stale and skipped, which
       replaces both the [final] array and decrease-key. *)
   (* The zero-allocation core: runs entirely on the per-domain scratch
-     (valid until the next run on this domain). The stale-pop test and
-     the relax order are exactly the option-array version's, so the pop
-     sequence and predecessor choices are unchanged. *)
-  let dijkstra_core wf g ~src =
+     (valid until the next run on this domain). It stops early at the
+     first settled node that is [dst] ([-1]: none) or, given a [limit],
+     whose key [d] has [not (F.lt d limit)]. Neither stop changes the
+     heap or relax order, so whatever it has settled — [dst] and its
+     whole predecessor chain — is exactly what the run to exhaustion
+     would have settled: with non-negative weights a settled key is
+     final, and later relaxations only replace a distance on a strict
+     improvement. Keys pop in non-decreasing order, so once one fails
+     the bound every later one does too. *)
+  let search wf g ~src ~dst ~limit =
     let h = Domain.DLS.get heap_key in
     h.hn <- 0;
+    h.settled <- 0;
     dij_reset h g.n;
     h.dist.(src) <- F.zero;
     h.pred.(src) <- -1;
     dij_mark h src;
     heap_push h F.zero src;
-    while h.hn > 0 do
+    let stop = ref Exhausted in
+    while (match !stop with Exhausted -> h.hn > 0 | _ -> false) do
       let d = h.keys.(0) and x = h.nodes.(0) in
       h.hn <- h.hn - 1;
       if h.hn > 0 then begin
@@ -289,28 +303,34 @@ module Make (F : Repro_field.Field.S) = struct
         heap_sift_down h 0
       end;
       let stale = if dij_reached h x then F.compare h.dist.(x) d < 0 else true in
-      if not stale then
-        List.iter
-          (fun (id, y) ->
-            let w = wf g.edges.(id) in
-            assert (F.sign w >= 0);
-            let nd = F.add d w in
-            let better =
-              if dij_reached h y then F.compare nd h.dist.(y) < 0 else true
-            in
-            if better then begin
-              if not (dij_reached h y) then dij_mark h y;
-              h.dist.(y) <- nd;
-              h.pred.(y) <- id;
-              heap_push h nd y
-            end)
-          g.adj.(x)
+      if not stale then begin
+        h.settled <- h.settled + 1;
+        if match limit with Some l -> not (F.lt d l) | None -> false then stop := Hit_limit
+        else if x = dst then stop := Settled_dst
+        else
+          List.iter
+            (fun (id, y) ->
+              let w = wf g.edges.(id) in
+              assert (F.sign w >= 0);
+              let nd = F.add d w in
+              let better =
+                if dij_reached h y then F.compare nd h.dist.(y) < 0 else true
+              in
+              if better then begin
+                if not (dij_reached h y) then dij_mark h y;
+                h.dist.(y) <- nd;
+                h.pred.(y) <- id;
+                heap_push h nd y
+              end)
+            g.adj.(x)
+      end
     done;
-    h
+    (h, !stop)
+
+  let weight_of = function Some f -> f | None -> fun e -> e.weight
 
   let dijkstra ?weight_fn g ~src =
-    let wf = match weight_fn with Some f -> f | None -> fun e -> e.weight in
-    let h = dijkstra_core wf g ~src in
+    let h, _ = search (weight_of weight_fn) g ~src ~dst:(-1) ~limit:None in
     let dist = Array.make g.n None in
     let pred_edge = Array.make g.n None in
     for x = 0 to g.n - 1 do
@@ -338,24 +358,31 @@ module Make (F : Repro_field.Field.S) = struct
         in
         Some (d, walk dst [])
 
-  (* Scratch-walking [shortest_path]: the returned path list is the only
-     allocation besides field arithmetic — no [sssp] materialization. The
-     separation oracles call this once per player per round. *)
+  (* The settled [dst]'s cost and path, walked off the scratch: the path
+     list is the only allocation besides field arithmetic. *)
+  let settled_path g h ~src ~dst =
+    let rec walk x acc =
+      if x = src then acc
+      else
+        let id = h.pred.(x) in
+        if id < 0 then acc else walk (other g id x) (id :: acc)
+    in
+    (h.dist.(dst), walk dst [])
+
   let shortest_path ?weight_fn g ~src ~dst =
-    let wf = match weight_fn with Some f -> f | None -> fun e -> e.weight in
-    let h = dijkstra_core wf g ~src in
-    if not (dij_reached h dst) then None
-    else begin
-      let d = h.dist.(dst) in
-      let rec walk x acc =
-        if x = src then acc
-        else
-          let id = h.pred.(x) in
-          if id < 0 then acc
-          else walk (other g id x) (id :: acc)
-      in
-      Some (d, walk dst [])
-    end
+    match search (weight_of weight_fn) g ~src ~dst ~limit:None with
+    | h, Settled_dst -> Some (settled_path g h ~src ~dst)
+    | _ -> None
+
+  type bounded = Reached of F.t * int list | Pruned | Unreachable
+
+  let shortest_path_bounded ?weight_fn g ~src ~dst ~limit =
+    match search (weight_of weight_fn) g ~src ~dst ~limit:(Some limit) with
+    | h, Settled_dst ->
+        let d, path = settled_path g h ~src ~dst in
+        Reached (d, path)
+    | _, Hit_limit -> Pruned
+    | _, Exhausted -> Unreachable
 
   (* ---------------------------------------------------------------- *)
   (* Rooted spanning trees                                             *)

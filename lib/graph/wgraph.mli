@@ -68,8 +68,30 @@ module Make (F : Repro_field.Field.S) : sig
       ids in travel order. *)
   val extract_path : t -> sssp -> src:int -> dst:int -> (F.t * int list) option
 
+  (** Cheapest [src -> dst] path: cost and edge ids in travel order,
+      [None] when unreachable. Stops as soon as [dst] is settled; the
+      cost and path are exactly those of [dijkstra] + [extract_path]. *)
   val shortest_path :
     ?weight_fn:(edge -> F.t) -> t -> src:int -> dst:int -> (F.t * int list) option
+
+  (** Outcome of {!shortest_path_bounded}. [Reached] carries the same
+      cost and path as {!shortest_path}; [Pruned] means the search hit
+      the bound first, [Unreachable] that it exhausted [src]'s component
+      without settling [dst]. *)
+  type bounded = Reached of F.t * int list | Pruned | Unreachable
+
+  (** {!shortest_path} that also stops at the first settled key [d] with
+      [not (F.lt d limit)]. Keys settle in non-decreasing order and
+      weights are non-negative, so [Reached (cost, _)] is returned
+      exactly when the cheapest path has [F.lt cost limit] (for the
+      float field [F.lt] cannot turn true again as its left argument
+      grows past the tolerance band; over rationals it is exact). *)
+  val shortest_path_bounded :
+    ?weight_fn:(edge -> F.t) -> t -> src:int -> dst:int -> limit:F.t -> bounded
+
+  (** Nodes settled by this domain's last search (any of the three
+      entry points), read once per search by the separation counters. *)
+  val last_settled : unit -> int
 
   (** Reallocation count of the per-domain Dijkstra scratch (this
       domain); a zero delta across runs proves scratch reuse. *)

@@ -341,4 +341,60 @@ let property_tests =
         if already then Fx.approx_eq ~eps:1e-6 r.Sne.cost 0.0 else r.Sne.cost > 1e-7);
   ]
 
-let suite = unit_tests @ property_tests
+(* Cutting-plane figures of [Float_sparse.cutting_plane] recorded before
+   the separation oracle was bounded by the current cost: the oracle may
+   stop each player's search early but must emit the same cuts, so the
+   rounds, cut count, pivots and the bits of the optimum stay put. *)
+module Snes = Repro_core.Sne_lp.Float_sparse
+
+let anti_mst_tree (inst : Instances.t) =
+  let g = inst.Instances.graph in
+  let maxw = G.fold_edges g ~init:0.0 ~f:(fun a e -> Float.max a e.G.weight) in
+  let inverted = G.with_weights g (fun e -> maxw -. e.G.weight +. 1.0) in
+  G.Tree.of_edge_ids g ~root:inst.Instances.root (Option.get (G.mst_kruskal inverted))
+
+let golden =
+  let heavy n seed = Instances.random ~dist:(Instances.Heavy_tailed 10.0) ~n ~extra:n ~seed () in
+  let grid () = Instances.grid_metro ~rows:4 ~cols:5 ~seed:1 () in
+  [
+    ("mst-heavy64-s4", heavy 64 4, Instances.mst_tree, (1, 1, 1, 0x1.ef26e169c4086p-6));
+    ("mst-heavy64-s6", heavy 64 6, Instances.mst_tree, (1, 2, 2, 0x1.91d3b53f2c1e8p-3));
+    ("anti-heavy24-s1", heavy 24 1, anti_mst_tree, (6, 78, 54, 0x1.627170b27e585p+6));
+    ("anti-heavy24-s2", heavy 24 2, anti_mst_tree, (4, 51, 38, 0x1.6a89ba45e22bp+6));
+    ("anti-heavy24-s3", heavy 24 3, anti_mst_tree, (4, 35, 26, 0x1.c7405ed824f65p+6));
+    ("mst-grid4x5", grid (), Instances.mst_tree, (1, 5, 5, 0x1.033bee5e532c2p+1));
+    ("anti-grid4x5", grid (), anti_mst_tree, (2, 7, 7, 0x1.e7483c8e5e93ep+1));
+    ( "anti-ring20-s2",
+      Instances.ring_city ~n:20 ~chords:6 ~seed:2 (),
+      anti_mst_tree,
+      (2, 8, 8, 0x1.94bb56a072e3p+2) );
+  ]
+
+let separation_tests =
+  List.map
+    (fun (name, inst, target, (rounds, generated, pivots, cost)) ->
+      Alcotest.test_case ("golden cut " ^ name) `Quick (fun () ->
+          let spec = Instances.spec inst in
+          let state =
+            Gm.Broadcast.state_of_tree spec ~root:inst.Instances.root (target inst)
+          in
+          let r, st = Snes.cutting_plane spec ~state in
+          Alcotest.(check bool) "converged" true st.Snes.converged;
+          Alcotest.(check (list int)) "rounds, cuts, pivots" [ rounds; generated; pivots ]
+            [ st.Snes.rounds; st.Snes.generated; st.Snes.pivots ];
+          Alcotest.(check string) "cost bits" (Printf.sprintf "%h" cost)
+            (Printf.sprintf "%h" r.Snes.cost)))
+    golden
+  @ [
+      Alcotest.test_case "cutting plane keeps the disconnection error" `Quick (fun () ->
+          (* Node 3 is isolated; its player's recorded path (edge 0) costs
+             her 1 at zero subsidy, so the bounded search exhausts {3}. *)
+          let graph = G.create ~n:4 [ (0, 1, 2.0); (0, 2, 3.0) ] in
+          let spec = Gm.create ~graph ~pairs:[| (1, 0); (2, 0); (3, 0) |] in
+          let state = [| [ 0 ]; [ 1 ]; [ 0 ] |] in
+          Alcotest.check_raises "cut-off player"
+            (Invalid_argument "Game.improving_response: graph disconnects a player")
+            (fun () -> ignore (Snes.cutting_plane spec ~state)));
+    ]
+
+let suite = unit_tests @ property_tests @ separation_tests

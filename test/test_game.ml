@@ -279,4 +279,112 @@ let property_tests =
         Repro_util.Floatx.approx_eq ~eps:1e-6 !total (Gm.social_cost spec state));
   ]
 
-let suite = unit_tests @ property_tests
+(* [improving_response] against its definition, [(player_cost,
+   best_response)] compared with [F.lt], over either field: integer edge
+   weights, subsidies w * k/997 (so every value is exact in both fields),
+   tree states and states of unrelated random paths, broadcast and
+   random-pair games. On [Some] the cost and path must be exactly equal. *)
+module Improving_diff (F : Repro_field.Field.S) = struct
+  module Gf = Repro_game.Game.Make (F)
+  module Gg = Gf.G
+
+  (* A broadcast game (with its root) or a game of random pairs. *)
+  let random_game rng =
+    let n = Prng.int_in_range rng ~lo:2 ~hi:9 in
+    let graph =
+      Gg.Gen.random_connected rng ~n ~extra_edges:(Prng.int rng 8) ~rand_weight:(fun rng ->
+          F.of_int (Prng.int_in_range rng ~lo:0 ~hi:12))
+    in
+    let root = Prng.int rng n in
+    if Prng.bool rng then (Gf.broadcast ~graph ~root, Some root)
+    else
+      let pair _ =
+        let s = Prng.int rng n in
+        (s, (s + 1 + Prng.int rng (n - 1)) mod n)
+      in
+      (Gf.create ~graph ~pairs:(Array.init (Prng.int_in_range rng ~lo:1 ~hi:6) pair), None)
+
+  (* Cheapest path under random positive weights: a simple path that no
+     other player's path needs to agree with. *)
+  let random_path rng (graph : Gg.t) ~src ~dst =
+    let noisy = Gg.with_weights graph (fun _ -> F.of_int (1 + Prng.int rng 20)) in
+    snd (Option.get (Gg.shortest_path noisy ~src ~dst))
+
+  (* Half the broadcast games get a random spanning tree's state. *)
+  let random_state rng (spec : Gf.spec) broadcast_root =
+    let graph = spec.Gf.graph in
+    match broadcast_root with
+    | Some root when Prng.bool rng ->
+        let noisy = Gg.with_weights graph (fun _ -> F.of_int (Prng.int rng 50)) in
+        let tree = Gg.Tree.of_edge_ids graph ~root (Option.get (Gg.mst_kruskal noisy)) in
+        Gf.Broadcast.state_of_tree spec ~root tree
+    | _ -> Array.map (fun (src, dst) -> random_path rng graph ~src ~dst) spec.Gf.pairs
+
+  let random_subsidy rng (graph : Gg.t) =
+    Array.init (Gg.n_edges graph) (fun id ->
+        if Prng.bool rng then F.zero
+        else F.mul (Gg.weight graph id) (F.of_q (Prng.int rng 998) 997))
+
+  let agrees seed =
+    let rng = Prng.create seed in
+    let spec, root = random_game rng in
+    let state = random_state rng spec root in
+    let subsidy = random_subsidy rng spec.Gf.graph in
+    let usage = Gf.usage spec state in
+    let prices = Gf.sweep_prices ~subsidy spec ~usage in
+    let ok = ref true in
+    for i = 0 to Gf.n_players spec - 1 do
+      let current = Gf.player_cost ~subsidy spec state i in
+      let cost, path = Gf.best_response ~subsidy spec state i in
+      match (Gf.improving_response prices spec state i, F.lt cost current) with
+      | None, false -> ()
+      | Some (c, p), true -> if not (F.equal c cost && p = path) then ok := false
+      | _ -> ok := false
+    done;
+    !ok
+end
+
+module Float_diff = Improving_diff (Repro_field.Field.Float_field)
+module Rat_diff = Improving_diff (Repro_field.Field.Rat)
+
+let improving_tests =
+  [
+    prop ~count:150 "float improving_response = best_response + lt" Float_diff.agrees;
+    prop ~count:100 "rational improving_response = best_response + lt" Rat_diff.agrees;
+    Alcotest.test_case "improving_response on the two-link game" `Quick (fun () ->
+        let spec = Gm.broadcast ~graph:(two_link ()) ~root:0 in
+        let state = [| [ 1 ] |] in
+        let prices = Gm.sweep_prices spec ~usage:(Gm.usage spec state) in
+        Alcotest.(check (option (pair fl (list int))))
+          "the cheap edge improves" (Some (1.0, [ 0 ]))
+          (Gm.improving_response prices spec state 0);
+        let state = [| [ 0 ] |] in
+        let prices = Gm.sweep_prices spec ~usage:(Gm.usage spec state) in
+        Alcotest.(check (option (pair fl (list int))))
+          "no improvement" None
+          (Gm.improving_response prices spec state 0));
+    Alcotest.test_case "improving_response keeps the disconnection error" `Quick (fun () ->
+        (* Node 3 is isolated; its player's recorded path (edge 0) costs
+           it 1, so the bounded search exhausts {3} below the bound. *)
+        let graph = G.create ~n:4 [ (0, 1, 2.0); (0, 2, 3.0) ] in
+        let spec = Gm.create ~graph ~pairs:[| (1, 0); (2, 0); (3, 0) |] in
+        let state = [| [ 0 ]; [ 1 ]; [ 0 ] |] in
+        let prices = Gm.sweep_prices spec ~usage:(Gm.usage spec state) in
+        Alcotest.(check bool) "connected players are fine" true
+          (Gm.improving_response prices spec state 0 = None);
+        Alcotest.check_raises "cut-off player"
+          (Invalid_argument "Game.improving_response: graph disconnects a player")
+          (fun () -> ignore (Gm.improving_response prices spec state 2)));
+    Alcotest.test_case "own_mask marks exactly the player's edges" `Quick (fun () ->
+        let spec = three_player_spec () in
+        let state = [| [ 0 ]; [ 4; 6 ]; [ 5; 6 ] |] in
+        let marked i =
+          let mask = Gm.own_mask spec state i in
+          List.filter (fun id -> Bytes.get mask id <> '\000') (List.init 7 Fun.id)
+        in
+        Alcotest.(check (list int)) "player 1" [ 4; 6 ] (marked 1);
+        Alcotest.(check (list int)) "player 0, previous marks cleared" [ 0 ] (marked 0);
+        Alcotest.(check (list int)) "player 2" [ 5; 6 ] (marked 2));
+  ]
+
+let suite = unit_tests @ property_tests @ improving_tests

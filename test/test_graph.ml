@@ -36,6 +36,11 @@ let random_graph seed =
   G.Gen.random_connected rng ~n ~extra_edges:extra
     ~rand_weight:(fun rng -> float_of_int (Prng.int_in_range rng ~lo:0 ~hi:20))
 
+(* The same edges plus one isolated node, so some pairs are unreachable. *)
+let with_isolated_node (g : G.t) =
+  G.create ~n:(G.n_nodes g + 1)
+    (Array.to_list (Array.map (fun (e : G.edge) -> (e.G.u, e.G.v, e.G.weight)) g.G.edges))
+
 let diamond () =
   (* 0-1 (1), 0-2 (4), 1-2 (2), 1-3 (6), 2-3 (3) *)
   G.create ~n:4 [ (0, 1, 1.0); (0, 2, 4.0); (1, 2, 2.0); (1, 3, 6.0); (2, 3, 3.0) ]
@@ -75,6 +80,17 @@ let unit_tests =
         let g = G.create ~n:4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
         Alcotest.(check bool) "kruskal" true (G.mst_kruskal g = None);
         Alcotest.(check bool) "prim" true (G.mst_prim g = None));
+    Alcotest.test_case "bounded Dijkstra on the diamond" `Quick (fun () ->
+        let g = diamond () in
+        let bounded limit = G.shortest_path_bounded g ~src:0 ~dst:3 ~limit in
+        Alcotest.(check bool) "below the limit" true (bounded 6.5 = G.Reached (6.0, [ 0; 2; 4 ]));
+        Alcotest.(check bool) "at the limit" true (bounded 6.0 = G.Pruned);
+        Alcotest.(check bool) "zero limit" true (bounded 0.0 = G.Pruned);
+        let split = G.create ~n:4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+        Alcotest.(check bool) "unreachable" true
+          (G.shortest_path_bounded split ~src:0 ~dst:3 ~limit:10.0 = G.Unreachable);
+        Alcotest.(check bool) "pruned before the component is exhausted" true
+          (G.shortest_path_bounded split ~src:0 ~dst:3 ~limit:0.5 = G.Pruned));
     Alcotest.test_case "Dijkstra on the diamond" `Quick (fun () ->
         let g = diamond () in
         match G.shortest_path g ~src:0 ~dst:3 with
@@ -224,6 +240,32 @@ let property_tests =
         | Some (d, path) ->
             let walked = G.total_weight g path in
             Repro_util.Floatx.approx_eq d walked);
+    prop "early-exit shortest_path = dijkstra + extract_path" seed_gen (fun seed ->
+        (* The random repricing (zeros included) makes ties common. *)
+        let g = with_isolated_node (random_graph seed) in
+        let rng = Prng.create (seed + 2) in
+        let price = Array.init (G.n_edges g) (fun _ -> float_of_int (Prng.int rng 6)) in
+        let weight_fn (e : G.edge) = price.(e.G.id) in
+        let ok = ref true in
+        for src = 0 to G.n_nodes g - 1 do
+          let sp = G.dijkstra ~weight_fn g ~src in
+          for dst = 0 to G.n_nodes g - 1 do
+            if G.shortest_path ~weight_fn g ~src ~dst <> G.extract_path g sp ~src ~dst then
+              ok := false
+          done
+        done;
+        !ok);
+    prop "bounded search reaches exactly the paths below the limit" seed_gen (fun seed ->
+        let g = with_isolated_node (random_graph seed) in
+        let rng = Prng.create (seed + 3) in
+        let n = G.n_nodes g in
+        let src = Prng.int rng n and dst = Prng.int rng n in
+        let limit = float_of_int (Prng.int rng 60) in
+        match (G.shortest_path g ~src ~dst, G.shortest_path_bounded g ~src ~dst ~limit) with
+        | Some (c, p), G.Reached (c', p') -> F.lt c limit && c = c' && p = p'
+        | Some (c, _), G.Pruned -> not (F.lt c limit)
+        | None, (G.Pruned | G.Unreachable) -> true
+        | _ -> false);
     prop "every enumerated spanning tree is one, and the MST is among them" seed_gen
       (fun seed ->
         let g = random_graph seed in

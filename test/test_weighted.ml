@@ -171,6 +171,47 @@ let property_tests =
           if not (Fx.leq c (W.player_cost t state i)) then ok := false
         done;
         !ok);
+    prop ~count:80 "weighted improving_response = best_response + lt" (fun seed ->
+        (* Random subsidies in [0, w] and, for half the cases, a state of
+           random per-player paths instead of the MST's. *)
+        let t, graph, root = random_weighted seed in
+        let rng = Prng.create (seed + 5) in
+        let state =
+          if Prng.bool rng then
+            W.Broadcast.state_of_tree t ~root
+              (G.Tree.of_edge_ids graph ~root (Option.get (G.mst_kruskal graph)))
+          else
+            Array.map
+              (fun (src, dst) ->
+                let noisy = G.with_weights graph (fun _ -> float_of_int (1 + Prng.int rng 20)) in
+                snd (Option.get (G.shortest_path noisy ~src ~dst)))
+              t.W.base.Gm.pairs
+        in
+        let subsidy =
+          Array.init (G.n_edges graph) (fun id -> Prng.float rng (G.weight graph id))
+        in
+        let prices = W.sweep_prices ~subsidy t ~du:(W.demand_usage t state) in
+        let ok = ref true in
+        for i = 0 to W.n_players t - 1 do
+          let current = W.player_cost ~subsidy t state i in
+          let cost, path = W.best_response ~subsidy t state i in
+          let want = if Fx.lt cost current then Some (cost, path) else None in
+          if W.improving_response prices t state i <> want then ok := false
+        done;
+        !ok);
   ]
 
-let suite = unit_tests @ property_tests
+let bounded_tests =
+  [
+    Alcotest.test_case "weighted improving_response keeps the disconnection error" `Quick
+      (fun () ->
+        let graph = G.create ~n:4 [ (0, 1, 2.0); (0, 2, 3.0) ] in
+        let t = W.create ~graph ~pairs:[| (1, 0); (2, 0); (3, 0) |] ~demand:[| 1.0; 2.0; 1.0 |] in
+        let state = [| [ 0 ]; [ 1 ]; [ 0 ] |] in
+        let prices = W.sweep_prices t ~du:(W.demand_usage t state) in
+        Alcotest.check_raises "cut-off player"
+          (Invalid_argument "Weighted.improving_response: graph disconnects a player")
+          (fun () -> ignore (W.improving_response prices t state 2)));
+  ]
+
+let suite = unit_tests @ property_tests @ bounded_tests
